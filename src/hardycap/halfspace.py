@@ -22,10 +22,11 @@ import numpy as np
 
 from .errors import DegenerateInputError, DomainError, ParameterError
 from .hardy1d import GridFunction, QuotientReport
-from .quadrature import integrate
+from .quadrature import integrate, segment_integrals
 from .sphere import (
     CapGeometry,
     SphericalProfile,
+    _cap_eta_profile,
     extremal_V_hat_k,
     rho_many,
     rho_star,
@@ -170,9 +171,11 @@ def zeta_integrability_check(n, p, R):
         )
 
     # the integrand ~ theta^{n-1-p} is integrable; the guard below the
-    # evaluation floor of rho contributes O(guard^{n-p})
+    # evaluation floor of rho contributes O(guard^{n-p}).  rho has a kink
+    # at the truncation point T, so a panel edge goes there.
     lo = _HALF_PI * 1e-12
-    angular = integrate(integrand, lo, _HALF_PI, singular=(0.0,))
+    T = _cap_eta_profile(n, p, _HALF_PI)[1].T
+    angular = float(np.sum(segment_integrals(integrand, [lo, T, _HALF_PI], singular=(0.0,))))
     radial = R ** (n + 1 - p) / (n + 1 - p)
     value = geom.omega * radial * angular
     if not math.isfinite(value):

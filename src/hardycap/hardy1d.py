@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, DomainError, ParameterError
 from .eta import ENDPOINT_GUARD, EtaProfile, tail_integral, tail_integrals
-from .quadrature import integrate, panel_nodes, refine_breakpoints
+from .quadrature import integrate, node_tail_integrals, panel_nodes, refine_breakpoints
 
 DEFAULT_GRID_SIZE = 4096
 #: relative depth of geometric node clustering at sequence breakpoints
@@ -44,6 +44,8 @@ class GridFunction:
         object.__setattr__(self, "values", values)
         if nodes.ndim != 1 or nodes.shape != values.shape or len(nodes) < 2:
             raise ParameterError("nodes and values must be equal-length 1-D arrays (>= 2)")
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(values))):
+            raise ParameterError("nodes and values must be finite")
         if not np.all(np.diff(nodes) > 0.0):
             raise ParameterError("nodes must be strictly increasing")
         if values[-1] != 0.0:
@@ -75,11 +77,31 @@ def sharp_constant(p):
     return ((p - 1.0) / p) ** p
 
 
-def _quadrature_nodes(w, breakpoints, extra_singular=()):
-    """Refined panels over the breakpoints, honouring weight singularities."""
-    singular = tuple(w.singular_points) + tuple(extra_singular)
-    pts, _ = refine_breakpoints(breakpoints, singular=singular)
-    return panel_nodes(pts)
+def _panel_edges(w, breakpoints):
+    """Refined panel edges over the breakpoints, honouring the weight's
+    singularities and the endpoint a, where eta diverges."""
+    singular = tuple(w.singular_points) + (w.a,)
+    return refine_breakpoints(breakpoints, singular=singular)[0]
+
+
+def _node_tails(w, pts, x):
+    """phi**(-1/(p-1)) and its tail integral I at the ``panel_nodes(pts)``
+    nodes ``x``, and I at the panel edges, from one sweep over the panels."""
+    inv_phi = w.inv_phi_pow(x)
+    at_nodes, at_edges = node_tail_integrals(pts, x, inv_phi)
+    beyond = tail_integral(w, pts[-1])
+    return inv_phi, at_nodes + beyond, at_edges + beyond
+
+
+def _quotient_edges(prof, nodes):
+    """Panel edges of the quotient's quadrature over a grid's support."""
+    a = prof.weight.a
+    guard_lo = a * ENDPOINT_GUARD
+    guard_hi = a * (1.0 - ENDPOINT_GUARD)
+    # interior breakpoints: the nodes themselves, T (kink of eta_T), guards
+    interior = nodes[nodes > guard_lo]
+    bp = np.concatenate(([max(nodes[0], guard_lo)], interior, [prof.T]))
+    return _panel_edges(prof.weight, np.unique(np.clip(bp, guard_lo, guard_hi)))
 
 
 def hardy_quotient(w, prof, u, truncated=False):
@@ -100,19 +122,13 @@ def hardy_quotient(w, prof, u, truncated=False):
         raise DegenerateInputError("grid function is identically zero")
 
     guard_lo = a * ENDPOINT_GUARD
-    guard_hi = a * (1.0 - ENDPOINT_GUARD)
     t0 = nodes[0]
 
-    # interior breakpoints: the nodes themselves, T (kink of eta_T), guards
-    interior = nodes[nodes > guard_lo]
-    bp = np.concatenate(([max(t0, guard_lo)], interior, [prof.T]))
-    bp = np.unique(np.clip(bp, guard_lo, guard_hi))
-
-    x, wts = _quadrature_nodes(w, bp, extra_singular=(a,))
+    pts = _quotient_edges(prof, nodes)
+    x, wts = panel_nodes(pts)
     flat_x = x.ravel()  # globally increasing by construction
-    inv_phi = w.inv_phi_pow(flat_x)
-    tails = tail_integrals(w, flat_x)
-    eta_vals = inv_phi / tails
+    inv_phi, tails, _ = _node_tails(w, pts, x)
+    eta_vals = (inv_phi / tails).ravel()
     if truncated:
         eta_vals = np.where(flat_x > prof.T, prof.eta_at_T, eta_vals)
 
@@ -240,21 +256,17 @@ def A_k_B_k(w, k):
     guard_lo = a * ENDPOINT_GUARD
     guard_hi = a * (1.0 - ENDPOINT_GUARD)
 
-    def head_integrand(t):
-        flat = t.ravel()
-        vals = w.inv_phi_pow(flat) * tail_integrals(w, flat) ** (-p)
-        return vals.reshape(t.shape)
-
-    def body_integrand(t):
-        flat = t.ravel()
-        vals = w.inv_phi_pow(flat) / tail_integrals(w, flat)
-        return vals.reshape(t.shape)
-
-    singular = tuple(w.singular_points) + (a,)
-    x, wts = panel_nodes(refine_breakpoints(np.array([guard_lo, s]), singular)[0])
-    a_k = tail_integral(w, s) ** (p - 1.0) * float(np.sum(head_integrand(x) * wts))
-    x, wts = panel_nodes(refine_breakpoints(np.array([s, guard_hi]), singular)[0])
-    b_k = float(np.sum(body_integrand(x) * wts))
+    head = _panel_edges(w, np.array([guard_lo, s]))
+    body = _panel_edges(w, np.array([s, guard_hi]))
+    pts = np.concatenate((head, body[1:]))
+    x, wts = panel_nodes(pts)
+    inv_phi, tails, edge_tails = _node_tails(w, pts, x)
+    # the body integrand is eta = phi**(-1/(p-1))/I; the head integrand is
+    # eta * (I(s)/I)**(p-1), and edge_tails[n] = I(s)
+    n = len(head) - 1
+    eta_wts = inv_phi / tails * wts
+    a_k = float(np.sum((edge_tails[n] / tails[:n]) ** (p - 1.0) * eta_wts[:n]))
+    b_k = float(np.sum(eta_wts[n:]))
     return a_k, b_k
 
 

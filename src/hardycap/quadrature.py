@@ -11,8 +11,25 @@ vectorised in numpy.
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial import legendre
 
-GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+GL_NODES, GL_WEIGHTS = legendre.leggauss(16)
+
+
+def _tail_matrix(nodes, weights):
+    """``S[j, k] = integral_{nodes[j]}^1 of l_k``, with ``l_k`` the Lagrange
+    basis on the Gauss nodes.
+
+    By the discrete orthogonality of the Gauss rule, ``l_k`` has Legendre
+    coefficients ``(m + 1/2) * weights[k] * P_m(nodes[k])``.
+    """
+    deg = len(nodes)
+    coef = (np.arange(deg) + 0.5)[:, None] * legendre.legvander(nodes, deg - 1).T * weights
+    return -legendre.legval(nodes, legendre.legint(coef, lbnd=1.0)).T
+
+
+#: GL_TAIL @ g integrates the interpolant of g from each node to 1
+GL_TAIL = _tail_matrix(GL_NODES, GL_WEIGHTS)
 
 #: panel width relative to the distance from the nearest singular point
 DEFAULT_RATIO = 0.2
@@ -78,3 +95,23 @@ def segment_integrals(f, breakpoints, singular=(), rel=DEFAULT_RATIO, coarse=1):
     per_panel = np.sum(f(x) * w, axis=1)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     return np.add.reduceat(per_panel, starts)
+
+
+def node_tail_integrals(points, x, g):
+    """Integral of ``f`` from every quadrature node to ``points[-1]``.
+
+    ``x`` and ``g`` are the ``panel_nodes(points)`` nodes and the values of
+    ``f`` at them.  No further evaluation of ``f`` is made: the integral
+    from a node to its panel's end interpolates ``f`` on that panel, and
+    the later panels are suffix-summed.  Returns ``(at_nodes, at_edges)``,
+    the integral from each node (shaped like ``x``) and from each panel
+    edge (one more entry than panels).
+    """
+    half = 0.5 * np.diff(points)
+    right = points[1:, None]
+    # the stored node is rounded; integrate from it, not from the exact
+    # node mid + half*xi, which matters where the panel end is close to x
+    within = half[:, None] * (g @ GL_TAIL.T)
+    within += g * ((right - x) - half[:, None] * (1.0 - GL_NODES))
+    at_edges = np.append(np.cumsum((half * (g @ GL_WEIGHTS))[::-1])[::-1], 0.0)
+    return within + at_edges[1:, None], at_edges

@@ -129,6 +129,8 @@ class SampleSet:
         object.__setattr__(self, "weights", weights)
         if values.shape != weights.shape or values.ndim != 1 or len(values) == 0:
             raise ParameterError("values and weights must be equal-length 1-D arrays")
+        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(weights))):
+            raise ParameterError("values and weights must be finite")
         if np.any(weights < 0.0):
             raise ParameterError("weights must be nonnegative")
 

@@ -129,7 +129,8 @@ def validate_weight(w, grid_size=1024):
         raise ParameterError(f"grid_size must be >= 16, got {grid_size}")
     grid = w.a * np.geomspace(1e-10, 1.0, grid_size)
     vals = w.phi(grid)
-    boundary_ok = bool(vals[0] < 1e-6 * max(vals.max(), 1.0))
+    # phi(0) = 0 and phi rising away from 0, whatever the growth exponent
+    boundary_ok = bool(w.phi(0.0) == 0.0 and np.all(np.diff(vals[:16]) > 0.0))
     positive_ok = bool(np.all(vals > 0.0))
     log_concave_ok = bool(np.all(w.log_phi_dd(grid) < 0.0))
     ratio = vals / grid**w.growth_exponent

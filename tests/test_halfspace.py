@@ -145,7 +145,7 @@ class TestIntegrability:
         ang = math.tan(math.pi / 4) + quad(
             lambda t: 4.0 * math.sin(t) ** 2, math.pi / 4, HALF_PI)[0]
         ref = 4.0 * math.pi * 0.5 * ang
-        assert_allclose(zeta_integrability_check(3, 2.0, 1.0), ref, rtol=1e-6)
+        assert_allclose(zeta_integrability_check(3, 2.0, 1.0), ref, rtol=1e-11)
 
     def test_radius_scaling(self):
         n, p = 4, 2.5

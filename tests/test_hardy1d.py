@@ -10,12 +10,15 @@ from hardycap.eta import find_truncation_point
 from hardycap.hardy1d import (
     A_k_B_k,
     GridFunction,
+    _node_tails,
+    _quotient_edges,
     convergence_study,
     extremal_U_k,
     extremal_V_k,
     hardy_quotient,
     sharp_constant,
 )
+from hardycap.quadrature import panel_nodes
 from hardycap.weights import make_power_weight, make_sine_weight
 
 HALF_PI = math.pi / 2
@@ -39,6 +42,13 @@ class TestGridFunction:
             GridFunction(np.array([0.0, 1.0]), np.array([1.0, 0.5]))
         with pytest.raises(ParameterError):
             GridFunction(np.array([0.5, 0.5, 1.0]), np.array([0.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ParameterError):
+            GridFunction(np.array([0.0, 0.5, 1.0]), np.array([1.0, bad, 0.0]))
+        with pytest.raises(ParameterError):
+            GridFunction(np.array([0.0, bad, 1.0]), np.array([1.0, 0.5, 0.0]))
 
     def test_interpolation_and_left_extension(self):
         u = GridFunction(np.array([0.2, 0.6, 1.0]), np.array([3.0, 1.0, 0.0]))
@@ -154,6 +164,42 @@ class TestExtremalSequences:
         _, b_256 = A_k_B_k(w, 256)
         _, b_4096 = A_k_B_k(w, 4096)
         assert_allclose(b_4096 - b_256, math.log(4096 / 256), rtol=1e-4)
+
+
+class TestNodeTails:
+    """The tail integral I at the quotient's own Gauss nodes, from one sweep
+    over its panels, against closed forms evaluated at the stored nodes."""
+
+    @pytest.mark.parametrize("make,args,closed", [
+        # I(t) = 1/t - 1/a and cot t - cot a, written without cancellation
+        (make_power_weight, (2.0, 1.0, 1.0), lambda t, a: (a - t) / (a * t)),
+        (make_sine_weight, (3, 2.0, HALF_PI),
+         lambda t, a: np.sin(a - t) / (np.sin(t) * np.sin(a))),
+    ])
+    def test_closed_form_at_every_node(self, make, args, closed):
+        w = make(*args)
+        prof = find_truncation_point(w)
+        pts = _quotient_edges(prof, extremal_V_k(w, prof, 4096).nodes)
+        x, _ = panel_nodes(pts)
+        _, tails, edge_tails = _node_tails(w, pts, x)
+        assert np.any(w.a - x < 1e-11 * w.a)  # nodes right next to a are covered
+        assert_allclose(tails, closed(x, w.a), rtol=1e-12)
+        assert_allclose(edge_tails, closed(pts, w.a), rtol=1e-12)
+
+    @pytest.mark.parametrize("make,args,expected", [
+        # reference values from a second quadrature per node
+        # (eta.tail_integrals), independent of the single panel sweep
+        (make_power_weight, (2.0, 1.0, 1.0),
+         {256: (0.9999999997449998, 33.17229927344165),
+          4096: (0.9999999959050008, 35.94855687761422)}),
+        (make_sine_weight, (3, 2.0, HALF_PI),
+         {256: (0.9999999995978783, 32.72462746919494),
+          4096: (0.9999999935660173, 35.497238952489454)}),
+    ])
+    def test_a_k_b_k_unchanged(self, make, args, expected):
+        w = make(*args)
+        for k, ab in expected.items():
+            assert_allclose(A_k_B_k(w, k), ab, rtol=1e-12)
 
 
 class TestRandomLowerBound:

@@ -3,7 +3,15 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from hardycap.quadrature import integrate, panel_nodes, refine_breakpoints, segment_integrals
+from hardycap.quadrature import (
+    GL_NODES,
+    GL_TAIL,
+    integrate,
+    node_tail_integrals,
+    panel_nodes,
+    refine_breakpoints,
+    segment_integrals,
+)
 
 
 def test_polynomial_exact():
@@ -46,3 +54,20 @@ def test_panel_nodes_increasing():
     assert np.all(np.diff(flat) > 0.0)
     assert np.all(w > 0.0)
     assert_allclose(w.sum(), 1.0 - 1e-10, rtol=1e-14)
+
+
+@pytest.mark.parametrize("degree", range(16))
+def test_tail_matrix_exact_on_polynomials(degree):
+    # GL_TAIL @ xi**m integrates xi**m from each node to 1
+    exact = (1.0 - GL_NODES ** (degree + 1)) / (degree + 1)
+    assert_allclose(GL_TAIL @ GL_NODES**degree, exact, rtol=0, atol=1e-14)
+
+
+def test_node_tail_integrals_vs_closed_form():
+    # integral_x^1 t**-2 dt = 1/x - 1, towards a singular point at 0
+    pts, _ = refine_breakpoints(np.array([1e-6, 0.3, 1.0]), singular=(0.0,))
+    x, _ = panel_nodes(pts)
+    at_nodes, at_edges = node_tail_integrals(pts, x, x**-2.0)
+    assert_allclose(at_nodes, (1.0 - x) / x, rtol=1e-13)
+    assert_allclose(at_edges, (1.0 - pts) / pts, rtol=1e-13, atol=1e-15)
+    assert at_edges[-1] == 0.0

@@ -173,6 +173,13 @@ class TestRearrangements:
         star = spherical_rearrangement(s, hemi)
         assert np.all(star.levels == 1.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ParameterError):
+            SampleSet(np.array([1.0, bad]), np.array([0.5, 0.5]))
+        with pytest.raises(ParameterError):
+            SampleSet(np.array([1.0, 2.0]), np.array([0.5, bad]))
+
     def test_measure_mismatch_rejected(self, hemi):
         s = SampleSet(np.array([1.0]), np.array([1.0]))
         with pytest.raises(ParameterError):

@@ -67,6 +67,10 @@ class TestValidateWeight:
         make_power_weight(3.0, 0.5, 2.5),
         make_sine_weight(3, 2.0, math.pi / 2),
         make_sine_weight(4, 3.0, 1.0),
+        # growth exponents 0.21, 0.4, 0.51: phi(1e-10 a) is far from 0
+        make_power_weight(1.2, 0.01, 1.0),
+        make_power_weight(1.2, 0.2, 1.0),
+        make_power_weight(1.2, 0.31, 1.0),
     ])
     def test_builtin_weights_pass(self, w):
         rep = validate_weight(w)
