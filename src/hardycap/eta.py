@@ -76,14 +76,17 @@ def eta_many(w, ts):
 def eta_bounds(w, t):
     """Two-sided bounds on eta_a from the growth constants of phi.
 
-    Returns ``(lo, hi)`` with
-    ``K(t) = delta/(p-1) * a**e / (t * (a**e - t**e))``, ``e = delta/(p-1)``,
-    scaled by ``(c1/c2)**(1/(p-1))`` and its reciprocal.
+    Returns ``(lo, hi)`` with ``K(t) = e / (t * (1 - (t/a)**e))``,
+    ``e = delta/(p-1)``, scaled by ``(c1/c2)**(1/(p-1))`` and its
+    reciprocal; ``1 - (t/a)**e = -expm1(e log(t/a))`` neither overflows
+    nor cancels near ``t = a``.
     """
     if not 0.0 < t < w.a:
         raise DomainError(f"t must lie in (0, {w.a}), got {t}")
     e = w.delta / (w.p - 1.0)
-    k = (w.delta / (w.p - 1.0)) * w.a**e / (t * (w.a**e - t**e))
+    # near t = a, t - a is exact and t / a is not
+    log_ratio = math.log1p((t - w.a) / w.a) if 2.0 * t > w.a else math.log(t / w.a)
+    k = e / (t * -math.expm1(e * log_ratio))
     r = (w.c1 / w.c2) ** (1.0 / (w.p - 1.0))
     return r * k, k / r
 
@@ -149,12 +152,9 @@ def find_truncation_point(w, bracket_grid=256, tol=1e-10):
 
 def eta_truncated(prof, t):
     """eta_a truncated at T: eta_a(t) for t <= T, the plateau value after."""
-    w = prof.weight
-    if not 0.0 < t < w.a:
-        raise DomainError(f"t must lie in (0, {w.a}), got {t}")
-    if t > prof.T:
-        return prof.eta_at_T
-    return eta(w, t)
+    if not 0.0 < t < prof.weight.a:
+        raise DomainError(f"t must lie in (0, {prof.weight.a}), got {t}")
+    return float(eta_truncated_many(prof, [t])[0])
 
 
 def eta_truncated_many(prof, ts):

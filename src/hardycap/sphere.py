@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.special import betainc, betaincc, betainccinv, betaincinv
 
 from .errors import DomainError, InequalityViolationError, ParameterError
 from .eta import eta_truncated_many, find_truncation_point
@@ -34,39 +34,51 @@ def sphere_surface_volume(m):
     """Volume of the unit m-sphere: 2 * pi**((m+1)/2) / Gamma((m+1)/2)."""
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    return 2.0 * math.pi ** ((m + 1) / 2.0) / math.gamma((m + 1) / 2.0)
-
-
-def sin_power_integral(m, theta):
-    """integral_0^theta sin(s)**m ds for integer m >= 0, via the standard
-    reduction S_m = (-cos * sin**(m-1) + (m-1) * S_{m-2}) / m."""
-    theta = np.asarray(theta, dtype=float)
-    if m == 0:
-        return theta.copy() if theta.ndim else float(theta)
-    s, c = np.sin(theta), np.cos(theta)
-    prev, cur = np.asarray(theta, dtype=float), 1.0 - c  # S_0, S_1
-    if m == 1:
-        return cur if theta.ndim else float(cur)
-    for j in range(2, m + 1):
-        prev, cur = cur, (-c * s ** (j - 1) + (j - 1) * prev) / j
-    return cur if theta.ndim else float(cur)
+    x = (m + 1) / 2.0
+    if x > 171.0:  # Gamma(x) overflows; the volume is below 1e-220 here
+        return 2.0 * math.exp(x * math.log(math.pi) - math.lgamma(x))
+    return 2.0 * math.pi**x / math.gamma(x)
 
 
 def cap_volume(n, alpha):
-    """Volume of the geodesic cap of radius alpha on the unit n-sphere."""
+    """Volume of the geodesic cap of radius alpha on the unit n-sphere.
+
+    ``omega_{n-1} * integral_0^alpha sin**(n-1)`` is half the sphere times
+    ``I_{sin^2 alpha}(n/2, 1/2)``, the regularized incomplete beta function
+    (DLMF 8.17), taken in ``sin^2`` up to pi/4, as the complement in
+    ``cos^2`` beyond and reflected about pi/2: nothing cancels at the pole
+    or at the equator.
+    """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
-    if np.any(np.asarray(alpha) < 0.0) or np.any(np.asarray(alpha) > math.pi):
-        raise DomainError(f"alpha must lie in [0, pi], got {alpha}")
-    return sphere_surface_volume(n - 1) * sin_power_integral(n - 1, alpha)
+    alpha = np.asarray(alpha, dtype=float)
+    outside = ~((alpha >= 0.0) & (alpha <= math.pi))
+    if np.any(outside):
+        raise DomainError(f"alpha must lie in [0, pi], got {float(alpha[outside][0])!r}")
+    s = np.minimum(alpha, math.pi - alpha)
+    frac = np.where(s <= 0.25 * math.pi, betainc(0.5 * n, 0.5, np.sin(s) ** 2),
+                    betaincc(0.5, 0.5 * n, np.cos(s) ** 2))
+    vol = 0.5 * sphere_surface_volume(n) * np.where(alpha > 0.5 * math.pi, 2.0 - frac, frac)
+    return vol if vol.ndim else float(vol)
 
 
 def inverse_cap_volume(n, volume):
-    """Cap radius alpha with cap_volume(n, alpha) = volume."""
+    """Cap radius alpha with cap_volume(n, alpha) = volume, vectorised: the
+    two branches of ``cap_volume`` inverted with ``betaincinv`` and
+    ``betainccinv``, volumes above half the sphere reflected."""
+    volume = np.asarray(volume, dtype=float)
     total = cap_volume(n, math.pi)
-    if not 0.0 < volume < total:
-        raise DomainError(f"volume must lie in (0, {total}), got {volume}")
-    return brentq(lambda th: cap_volume(n, th) - volume, 0.0, math.pi, xtol=1e-15)
+    outside = ~((volume > 0.0) & (volume < total))
+    if np.any(outside):
+        raise DomainError(f"volume must lie in (0, {total!r}), got {float(volume[outside][0])!r}")
+    upper = volume > 0.5 * total
+    frac = np.where(upper, total - volume, volume) / (0.5 * total)
+    # the branch point is the share of the half sphere in the cap of radius pi/4
+    alpha = np.where(frac <= betainc(0.5 * n, 0.5, 0.5),
+                     np.arcsin(np.sqrt(betaincinv(0.5 * n, 0.5, frac))),
+                     np.arccos(np.sqrt(betainccinv(0.5, 0.5 * n, frac))))
+    alpha = np.where(upper, math.pi - alpha, alpha)
+    return alpha if alpha.ndim else float(alpha)
 
 
 @dataclass(frozen=True)
@@ -213,7 +225,7 @@ def spherical_rearrangement(s, geom):
         )
     levels, _, cum = _merged_layers(s)
     # boundary of the j-th plateau: the cap radius holding cumulative mass
-    inner = [inverse_cap_volume(geom.n, v) for v in cum[:-1]]
+    inner = inverse_cap_volume(geom.n, cum[:-1])
     boundaries = np.concatenate(([0.0], inner, [geom.a_star]))
     return CapStepProfile(geometry=geom, boundaries=boundaries, levels=levels)
 
@@ -257,18 +269,7 @@ def _cap_eta_profile(n, p, a_star):
 def rho_star(geom, p, theta):
     """The weight rho: (p-1)/(n-p) * eta_T(theta) inside the cap, frozen
     at its plateau value outside."""
-    n = geom.n
-    if not 1.0 < p < n:
-        raise DomainError(f"p must satisfy 1 < p < n, got p={p}, n={n}")
-    if theta <= 0.0:
-        raise DomainError("rho is singular at theta = 0")
-    if theta > math.pi:
-        raise DomainError(f"theta must lie in (0, pi], got {theta}")
-    _, prof = _cap_eta_profile(n, p, geom.a_star)
-    scale = (p - 1.0) / (n - p)
-    if theta >= geom.a_star:
-        return scale * prof.eta_at_T
-    return scale * float(eta_truncated_many(prof, np.array([theta]))[0])
+    return float(rho_many(geom, p, [theta])[0])
 
 
 def rho_many(geom, p, thetas):
@@ -364,24 +365,26 @@ def _radial_gradient_energy(geom, nodes, values, q):
 
 def _mu_of_levels(geom, nodes, values, levels):
     """Measure of {u > level} for a nonnegative piecewise-linear radial u,
-    vectorised over levels.  Exact up to the closed-form cap volume."""
-    n = geom.n
+    at ascending ``levels``.
+
+    {u > t} is a union of intervals whose ends are crossings of t, so
+    mu(t) is the sum of the cap volumes at the down-crossings minus the
+    sum at the up-crossings.  A cell is crossed by the levels in
+    [min(v0, v1), max(v0, v1)); only those (cell, level) pairs are formed.
+    """
+    # a zero-width last cell down to 0 closes {u > t} at the cap edge
+    nodes, values = np.append(nodes, nodes[-1]), np.append(values, 0.0)
     lo, hi = nodes[:-1], nodes[1:]
     v0, v1 = values[:-1], values[1:]
-    vols = cap_volume(n, nodes)
-    t = levels[:, None]
-    # crossing abscissa of each cell at each level, clipped into the cell
-    dv = np.where(v1 == v0, 1.0, v1 - v0)
-    cross = lo + (t - v0) * (hi - lo) / dv
-    cross = np.clip(cross, lo, hi)
-    cross_vol = cap_volume(n, cross)
-    up0, up1 = v0 > t, v1 > t
-    seg = np.zeros_like(cross)
-    both = up0 & up1
-    seg = np.where(both, vols[1:] - vols[:-1], seg)
-    seg = np.where(up0 & ~up1, cross_vol - vols[:-1], seg)
-    seg = np.where(~up0 & up1, vols[1:] - cross_vol, seg)
-    return seg.sum(axis=1)
+    first = np.searchsorted(levels, np.minimum(v0, v1), side="left")
+    count = np.searchsorted(levels, np.maximum(v0, v1), side="left") - first
+    cell = np.repeat(np.arange(len(lo)), count)
+    level = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count - first, count)
+    t = levels[level]
+    a, b, u0, u1 = lo[cell], hi[cell], v0[cell], v1[cell]
+    cross = np.clip(a + (t - u0) * (b - a) / (u1 - u0), a, b)
+    signed = np.where(u0 > u1, 1.0, -1.0) * cap_volume(geom.n, cross)
+    return np.bincount(level, weights=signed, minlength=len(levels))
 
 
 def radial_rearrangement(u, eval_grid=2048, level_grid=4096):

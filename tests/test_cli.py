@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from hardycap.cli import main
+
 HALF_PI = "1.5707963267948966"
 
 
@@ -146,3 +148,20 @@ class TestOtherCommands:
         for line in lines[1:]:
             fields = line.split(",")
             assert abs(float(fields[1]) - float(fields[2])) < 1e-8 * float(fields[1])
+
+    @pytest.mark.parametrize("n", (8, 32, 64, 128))
+    def test_rearrange_demo_moments_on_small_caps(self, n, capsys):
+        for share in (0.02, 0.05, 0.1, 0.5, 0.98):
+            for seed in (0, 1, 2):
+                argv = ["rearrange-demo", "--n", str(n), "--a", repr(share * math.pi),
+                        "--seed", str(seed)]
+                assert main(argv) == 0
+                for line in capsys.readouterr().out.strip().split("\n")[1:]:
+                    m_in, m_out = map(float, line.split(",")[1:3])
+                    assert abs(m_out - m_in) <= 1e-9 * m_in, (argv, line)
+
+    def test_rearrange_demo_underflowing_cap_exits_2(self, capsys):
+        # the volume of this cap underflows to 0
+        assert main(["rearrange-demo", "--n", "256", "--a", "0.157"]) == 2
+        err = capsys.readouterr().err
+        assert "volume must lie in" in err and len(err) < 120

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -80,6 +81,25 @@ class TestEtaOracles:
             lo, hi = eta_bounds(sine32, t)
             v = eta(sine32, t)
             assert lo * (1.0 - 1e-12) <= v <= hi * (1.0 + 1e-12)
+
+    def test_bounds_do_not_overflow(self):
+        # a**e = 100**2000 overflows; (t/a)**e underflows to 0, so K = e/t
+        w = make_power_weight(1.01, 20.0, 100.0)
+        lo, hi = eta_bounds(w, 50.0)
+        e = w.delta / (w.p - 1.0)
+        assert_allclose([lo, hi], [e / 50.0, e / 50.0], rtol=1e-15)
+
+    @pytest.mark.parametrize("a", [1.0, 3.0, 0.7])
+    def test_bounds_near_endpoint(self, a):
+        # K(t) = e / (t (1 - (t/a)**e)) with e = 0.07 at 50 digits
+        w = make_power_weight(2.0, 0.07, a)
+        t = a * (1.0 - 1e-7)
+        with mpmath.workdps(50):
+            e, tm = mpmath.mpf(w.delta), mpmath.mpf(t)
+            exact = float(e / (tm * (1 - (tm / a) ** e)))
+        lo, hi = eta_bounds(w, t)
+        assert lo == hi
+        assert abs(lo - exact) <= 1e-15 * exact
 
     def test_bounds_tight_for_power(self, power211):
         # c1 = c2 = 1 collapses the sandwich to the closed form

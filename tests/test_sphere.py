@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,6 +11,7 @@ from hardycap.errors import DomainError, InequalityViolationError, ParameterErro
 from hardycap.hardy1d import GridFunction
 from hardycap.sphere import (
     CapGeometry,
+    _mu_of_levels,
     SampleSet,
     SphericalProfile,
     cap_volume,
@@ -79,6 +82,121 @@ class TestGeometry:
             inverse_cap_volume(3, 0.0)
         with pytest.raises(DomainError):
             sphere_surface_volume(0)
+
+
+CAP_DIMS = (2, 3, 4, 6, 11, 40, 256, 1000)
+CAP_ALPHAS = (1e-9, 1e-6, 1e-3, 0.3, math.pi / 4, 1.2, HALF_PI - 1e-9, HALF_PI, 2.0,
+              math.pi - 1e-4)
+
+
+def _cap_volume_oracle(n, alpha):
+    """omega_{n-1} * integral_0^alpha sin^(n-1) at 50 digits (DLMF 8.17)."""
+    with mpmath.workdps(50):
+        half = mpmath.pi ** (mpmath.mpf(n + 1) / 2) / mpmath.gamma(mpmath.mpf(n + 1) / 2)
+        a = mpmath.mpf(alpha)
+        s = min(a, mpmath.pi - a)
+        frac = mpmath.betainc(mpmath.mpf(n) / 2, 0.5, 0, mpmath.sin(s) ** 2,
+                              regularized=True)
+        return float(half * (2 - frac) if a > mpmath.pi / 2 else half * frac)
+
+
+def _normal(x):
+    return math.isfinite(x) and abs(x) >= sys.float_info.min
+
+
+class TestCapVolumeClosedForm:
+    @pytest.mark.parametrize("n", CAP_DIMS)
+    def test_vs_mpmath(self, n):
+        for alpha in CAP_ALPHAS:
+            ref = _cap_volume_oracle(n, alpha)
+            err = abs(cap_volume(n, alpha) - ref)
+            # the whole 1000-sphere is below 1e-880
+            assert err <= (1e-13 * ref if _normal(ref) else sys.float_info.min), (n, alpha)
+
+    @pytest.mark.parametrize("n", CAP_DIMS)
+    def test_inverse_round_trip(self, n):
+        checked = 0
+        for alpha in CAP_ALPHAS:
+            v = cap_volume(n, alpha)
+            if not _normal(v):
+                continue
+            # near the total the rounding of v alone moves alpha by
+            # spacing(v) / A'(alpha); skip where that exceeds 1e-13 alpha
+            slope = sphere_surface_volume(n - 1) * math.sin(alpha) ** (n - 1)
+            if np.spacing(v) > 1e-13 * alpha * slope:
+                continue
+            assert abs(inverse_cap_volume(n, v) - alpha) <= 1e-12 * alpha, (n, alpha)
+            checked += 1
+        assert checked >= 5 or n == 1000
+
+    def test_inverse_tiny_volume(self):
+        # the cap volume is 4 pi alpha^3 / 3 to relative O(alpha^2)
+        assert_allclose(inverse_cap_volume(3, 1e-300), (3e-300 / (4.0 * math.pi)) ** (1 / 3),
+                        rtol=1e-13)
+        assert_allclose(inverse_cap_volume(3, 1e-300), 6.2035e-101, rtol=1e-5)
+
+    @pytest.mark.parametrize("n", (2, 5, 40))
+    def test_vectorised_equals_elementwise(self, n):
+        alphas = np.concatenate((np.geomspace(1e-8, math.pi, 50), [0.0, HALF_PI]))
+        vols = cap_volume(n, alphas)
+        assert np.array_equal(vols, [cap_volume(n, a) for a in alphas])
+        inner = vols[(vols > 0.0) & (vols < cap_volume(n, math.pi))]
+        radii = inverse_cap_volume(n, inner)
+        assert isinstance(inverse_cap_volume(n, inner[0]), float)
+        assert np.array_equal(radii, [inverse_cap_volume(n, v) for v in inner])
+
+    def test_domain_error_names_first_offender(self):
+        vols = np.concatenate((np.linspace(1.0, 5.0, 1000), [0.0, -1.0], np.ones(1000)))
+        with pytest.raises(DomainError) as info:
+            inverse_cap_volume(3, vols)
+        message = str(info.value)
+        assert "got 0.0" in message and repr(cap_volume(3, math.pi)) in message
+        assert len(message) < 120
+        with pytest.raises(DomainError, match="got 4.0"):
+            cap_volume(3, np.array([0.5, 4.0, -1.0]))
+        with pytest.raises(DomainError, match="got nan"):
+            inverse_cap_volume(3, math.nan)
+
+
+def _dense_mu_of_levels(geom, nodes, values, levels):
+    """The measure of {u > level} from a (levels, cells) table of every cell
+    at every level."""
+    lo, hi = nodes[:-1], nodes[1:]
+    v0, v1 = values[:-1], values[1:]
+    vols = cap_volume(geom.n, nodes)
+    t = levels[:, None]
+    dv = np.where(v1 == v0, 1.0, v1 - v0)
+    cross = np.clip(lo + (t - v0) * (hi - lo) / dv, lo, hi)
+    cross_vol = cap_volume(geom.n, cross)
+    up0, up1 = v0 > t, v1 > t
+    seg = np.zeros_like(cross)
+    seg = np.where(up0 & up1, vols[1:] - vols[:-1], seg)
+    seg = np.where(up0 & ~up1, cross_vol - vols[:-1], seg)
+    seg = np.where(~up0 & up1, vols[1:] - cross_vol, seg)
+    return seg.sum(axis=1)
+
+
+class TestDistributionOfProfiles:
+    def test_mu_matches_dense_table(self):
+        rng = np.random.default_rng(21)
+        for _ in range(30):
+            geom = CapGeometry(n=int(rng.integers(2, 12)), a_star=rng.uniform(0.1, 3.0))
+            size = int(rng.integers(3, 120))
+            nodes = np.sort(rng.uniform(0.0, geom.a_star, size))
+            nodes = np.unique(np.concatenate(([0.0], nodes, [geom.a_star])))
+            # one decimal: flat stretches, and levels equal to node values
+            values = np.round(rng.uniform(0.0, 1.0, len(nodes)), 1)
+            values[-1] = 0.0
+            levels = np.union1d(np.linspace(0.0, values.max(), 257), values)
+            fast = _mu_of_levels(geom, nodes, values, levels)
+            dense = _dense_mu_of_levels(geom, nodes, values, levels)
+            assert np.max(np.abs(fast - dense)) <= 1e-12 * geom.measure
+
+    def test_mu_closes_at_the_cap_edge(self, hemi):
+        nodes = np.linspace(0.0, HALF_PI, 5)
+        values = np.full(5, 2.0)
+        mu = _mu_of_levels(hemi, nodes, values, np.array([0.0, 1.0, 2.0]))
+        assert_allclose(mu, [hemi.measure, hemi.measure, 0.0], rtol=1e-15)
 
 
 class TestRho:
