@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, ParameterError
-from .eta import ENDPOINT_GUARD, EtaProfile, tail_integral, tail_integrals
-from .quadrature import integrate, node_tail_integrals, panel_nodes, refine_breakpoints
+from .eta import ENDPOINT_GUARD, tail_integral, tail_integrals
+from .quadrature import node_tail_integrals, panel_nodes, refine_breakpoints
 
 DEFAULT_GRID_SIZE = 4096
 #: relative depth of geometric node clustering at sequence breakpoints
@@ -109,8 +109,9 @@ def hardy_quotient(w, prof, u, truncated=False):
 
     The numerator is exact per cell up to the phi quadrature (|u'| is
     constant on each cell); the denominator integrates |u|^p eta^p phi on
-    endpoint-refined Gauss panels, with the constant head [0, t0] handled
-    through the closed-form primitive of eta^p phi.
+    endpoint-refined Gauss panels.  The panels start at min(t0, T), where
+    eta_aT = eta, and the constant head before them goes through the
+    closed-form primitive I**(1-p)/(p-1) of eta^p phi.
     """
     if prof.weight != w:
         raise ParameterError("profile was not built from this weight")
@@ -121,13 +122,10 @@ def hardy_quotient(w, prof, u, truncated=False):
     if np.all(values == 0.0):
         raise DegenerateInputError("grid function is identically zero")
 
-    guard_lo = a * ENDPOINT_GUARD
-    t0 = nodes[0]
-
     pts = _quotient_edges(prof, nodes)
     x, wts = panel_nodes(pts)
     flat_x = x.ravel()  # globally increasing by construction
-    inv_phi, tails, _ = _node_tails(w, pts, x)
+    inv_phi, tails, edge_tails = _node_tails(w, pts, x)
     eta_vals = (inv_phi / tails).ravel()
     if truncated:
         eta_vals = np.where(flat_x > prof.T, prof.eta_at_T, eta_vals)
@@ -137,24 +135,14 @@ def hardy_quotient(w, prof, u, truncated=False):
     denominator = float(np.sum(
         (np.abs(u_vals) * eta_vals) ** p * phi_vals * wts.ravel()
     ))
-
-    # constant head [0, t0]: the primitive of eta^p phi is I(t)**(1-p)/(p-1)
-    if t0 > guard_lo and values[0] != 0.0:
-        if truncated and t0 > prof.T:
-            head = tail_integral(w, prof.T) ** (1.0 - p) / (p - 1.0)
-            head += prof.eta_at_T**p * integrate(
-                w.phi, prof.T, t0, singular=w.singular_points
-            )
-        else:
-            head = tail_integral(w, t0) ** (1.0 - p) / (p - 1.0)
-        denominator += abs(values[0]) ** p * head
-
+    # head [0, pts[0]], pts[0] = min(t0, T): u = u(t0) and eta_aT = eta there
+    denominator += abs(values[0]) ** p * edge_tails[0] ** (1.0 - p) / (p - 1.0)
     if denominator < 1e-300:
         raise DegenerateInputError("denominator vanished; degenerate input")
 
-    # numerator: |u'| is constant per cell
-    slopes = np.diff(values) / np.diff(nodes)
-    cell = np.clip(np.searchsorted(nodes, flat_x) - 1, 0, len(slopes) - 1)
+    # numerator: |u'| is constant per cell and 0 left of the grid
+    slopes = np.concatenate(([0.0], np.diff(values) / np.diff(nodes)))
+    cell = np.searchsorted(nodes, flat_x)
     numerator = float(np.sum(np.abs(slopes[cell]) ** p * phi_vals * wts.ravel()))
 
     return QuotientReport(
@@ -165,22 +153,13 @@ def hardy_quotient(w, prof, u, truncated=False):
     )
 
 
-def _clustered_nodes(lo, hi, size, cluster_lo=True, cluster_hi=True, depth=CLUSTER_DEPTH):
-    """Nodes on [lo, hi] clustered geometrically towards one or both ends."""
-    span = hi - lo
-    if cluster_lo and cluster_hi:
-        half = size // 2
-        mid = lo + 0.5 * span
-        left = lo + (mid - lo) * np.geomspace(depth, 1.0, half)
-        right = hi - (hi - mid) * np.geomspace(depth, 1.0, size - half)
-        pts = np.concatenate(([lo], left, right, [hi]))
-    elif cluster_lo:
-        pts = np.concatenate(([lo], lo + span * np.geomspace(depth, 1.0, size)))
-    elif cluster_hi:
-        pts = np.concatenate((hi - span * np.geomspace(depth, 1.0, size)[::-1], [hi]))
-    else:
-        pts = np.linspace(lo, hi, size)
-    return np.unique(pts)
+def _clustered_nodes(lo, hi, size):
+    """Nodes on [lo, hi] clustered geometrically towards both ends."""
+    half = size // 2
+    mid = lo + 0.5 * (hi - lo)
+    left = lo + (mid - lo) * np.geomspace(CLUSTER_DEPTH, 1.0, half)
+    right = hi - (hi - mid) * np.geomspace(CLUSTER_DEPTH, 1.0, size - half)
+    return np.unique(np.concatenate(([lo], left, right, [hi])))
 
 
 def extremal_U_k(w, k, grid_size=DEFAULT_GRID_SIZE):
@@ -231,13 +210,10 @@ def extremal_V_k(w, prof, k, grid_size=DEFAULT_GRID_SIZE):
     nodes = np.unique(np.concatenate((body, ramp, tail)))
 
     values = np.zeros_like(nodes)
-    in_body = nodes <= T
+    in_body = nodes <= T  # the last body node is T itself
     values[in_body] = tail_integrals(w, nodes[in_body]) ** ((w.p - 1.0) / w.p)
-    ramp_height = tail_integral(w, T) ** ((w.p - 1.0) / w.p)
     in_ramp = (nodes > T) & (nodes < ramp_end)
-    values[in_ramp] = ramp_height * (2.0 * nodes[in_ramp] - a - T) / (T - a)
-    values[nodes >= ramp_end] = 0.0
-    values[-1] = 0.0
+    values[in_ramp] = values[in_body][-1] * (2.0 * nodes[in_ramp] - a - T) / (T - a)
     return GridFunction(nodes, values)
 
 

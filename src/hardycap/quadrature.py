@@ -79,18 +79,18 @@ def panel_nodes(points):
     return x, w
 
 
-def integrate(f, lo, hi, singular=(), rel=DEFAULT_RATIO, coarse=8):
+def integrate(f, lo, hi, singular=()):
     """Integrate a vectorised callable over [lo, hi]."""
     if hi <= lo:
         return 0.0
-    pts, _ = refine_breakpoints(np.array([lo, hi]), singular, rel, coarse)
+    pts, _ = refine_breakpoints(np.array([lo, hi]), singular, coarse=8)
     x, w = panel_nodes(pts)
     return float(np.sum(f(x) * w))
 
 
-def segment_integrals(f, breakpoints, singular=(), rel=DEFAULT_RATIO, coarse=1):
+def segment_integrals(f, breakpoints, singular=()):
     """Integral of ``f`` over each consecutive segment of ``breakpoints``."""
-    pts, counts = refine_breakpoints(breakpoints, singular, rel, coarse)
+    pts, counts = refine_breakpoints(breakpoints, singular, coarse=1)
     x, w = panel_nodes(pts)
     per_panel = np.sum(f(x) * w, axis=1)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))

@@ -93,6 +93,11 @@ class CapGeometry:
             raise ParameterError(f"n must be >= 2, got {self.n}")
         if not 0.0 < self.a_star < math.pi:
             raise ParameterError(f"a_star must lie in (0, pi), got {self.a_star}")
+        if self.measure == 0.0:
+            raise ParameterError(
+                f"the cap of radius a_star={self.a_star} on the n={self.n} sphere "
+                "has a volume that underflows to 0"
+            )
 
     @property
     def omega(self):
@@ -281,12 +286,8 @@ def rho_many(geom, p, thetas):
     if np.any(thetas <= 0.0) or np.any(thetas > math.pi):
         raise DomainError("theta must lie in (0, pi]")
     _, prof = _cap_eta_profile(n, p, geom.a_star)
-    scale = (p - 1.0) / (n - p)
-    out = np.full(thetas.shape, prof.eta_at_T)
-    inside = thetas < geom.a_star
-    if np.any(inside):
-        out[inside] = eta_truncated_many(prof, thetas[inside])
-    return scale * out
+    # T < a_star, so eta_truncated_many is already on its plateau outside the cap
+    return (p - 1.0) / (n - p) * eta_truncated_many(prof, thetas)
 
 
 def rho_asymptotic_check(geom, p, t):

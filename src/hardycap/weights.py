@@ -20,10 +20,6 @@ from .errors import ParameterError
 POWER = "power"
 SINE = "sine"
 
-#: grid used to fit c1, c2 for the sine weight (geometric on (a*1e-8, a])
-_FIT_GRID_SIZE = 4096
-_FIT_GRID_FLOOR = 1e-8
-
 
 @dataclass(frozen=True)
 class Weight:
@@ -31,7 +27,7 @@ class Weight:
 
     ``delta``, ``c1`` and ``c2`` are the growth constants of the two-sided
     power-law bound; for the power family they are exact, for the sine
-    family they are fitted extrema of ``phi(t) / t**(p-1+delta)``.
+    family they are the extrema of ``phi(t) / t**(p-1+delta)`` on (0, a].
     """
 
     p: float
@@ -98,13 +94,11 @@ def make_sine_weight(n, p, a):
         raise ParameterError(f"p must satisfy 1 < p < n, got p={p}, n={n}")
     if not 0 < a < math.pi:
         raise ParameterError(f"a must lie in (0, pi), got {a}")
-    delta = float(n - p)
-    # ratio phi(t)/t**(n-1) = (sin t / t)**(n-1); fit extrema on a fine grid
-    grid = a * np.geomspace(_FIT_GRID_FLOOR, 1.0, _FIT_GRID_SIZE)
-    ratio = (np.sin(grid) / grid) ** (n - 1)
+    # phi(t)/t**(n-1) = (sin t / t)**(n-1) decreases on (0, pi) from its
+    # supremum 1 at t -> 0 to its minimum at t = a
     return Weight(
-        p=float(p), a=float(a), kind=SINE, delta=delta,
-        c1=float(ratio.min()), c2=float(ratio.max()), n=n,
+        p=float(p), a=float(a), kind=SINE, delta=float(n - p),
+        c1=float((math.sin(a) / a) ** (n - 1)), c2=1.0, n=n,
     )
 
 

@@ -164,4 +164,5 @@ class TestOtherCommands:
         # the volume of this cap underflows to 0
         assert main(["rearrange-demo", "--n", "256", "--a", "0.157"]) == 2
         err = capsys.readouterr().err
-        assert "volume must lie in" in err and len(err) < 120
+        assert "a_star=0.157" in err and "n=256" in err and "underflows" in err
+        assert len(err) < 120 and err.count("\n") == 1

@@ -1,12 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from hardycap.errors import DegenerateInputError, ParameterError
-from hardycap.eta import find_truncation_point
+from hardycap.eta import ENDPOINT_GUARD, find_truncation_point
 from hardycap.hardy1d import (
     A_k_B_k,
     GridFunction,
@@ -98,6 +99,72 @@ class TestHatOracle:
             hardy_quotient(w, prof_sine, u)
 
 
+def _quad_quotient(p, eta, nodes, values, head):
+    """Quotient of a piecewise-linear u on the power weight phi = t against
+    ``eta``: |u'|^p t in closed form and |u|^p eta^p t by ``quad`` per cell,
+    plus ``head``, the denominator before ``nodes[0]``.  Both integrals stop
+    at the endpoint guard, as the library's do: for an extremal U_k the last
+    cell alone carries about 1e-3 of them per 1e-12 of its width."""
+    end = nodes[-1] * (1.0 - ENDPOINT_GUARD)
+    numerator, denominator = 0.0, head
+    for lo, hi, v0, v1 in zip(nodes[:-1], nodes[1:], values[:-1], values[1:]):
+        top = min(hi, end)
+        # (top - lo) * (top + lo): the cells next to a are about 1e-9 wide
+        numerator += abs((v1 - v0) / (hi - lo)) ** p * (top - lo) * (top + lo) / 2.0
+        # written so that u does not cancel next to a zero at hi
+        u = lambda t: (v0 * (hi - t) + v1 * (t - lo)) / (hi - lo)  # noqa: E731
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            denominator += quad(lambda t: abs(u(t) * eta(t)) ** p * t, lo, top,
+                                epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return numerator / denominator
+
+
+class TestGridPastT:
+    """Grids whose first node t0 lies past T: the head [0, T] goes through
+    the primitive of eta^p phi, [T, t0] is counted once, with u' = 0."""
+
+    @pytest.mark.parametrize("truncated", [False, True])
+    def test_constant_then_ramp_closed_form(self, power211, truncated):
+        # phi = t^2, a = 1: I(t) = 1/t - 1, eta = 1/(t(1-t)), T = 1/2, eta_T = 4;
+        # u = 1 up to 0.85, then (1 - t)/0.15
+        w, prof = power211
+        u = GridFunction(np.array([0.7, 0.85, 1.0]), np.array([1.0, 1.0, 0.0]))
+        numerator = (1.0 - 0.85**3) / (3.0 * 0.15**2)
+        if truncated:
+            # head 1/I(1/2), then 16 t^2 on [1/2, 0.85], 16 t^2 (1-t)^2/0.15^2
+            def ramp(t):
+                return t**3 / 3.0 - t**4 / 2.0 + t**5 / 5.0
+            denominator = 1.0 + 16.0 * (0.85**3 - 0.125) / 3.0 \
+                + 16.0 * (ramp(1.0) - ramp(0.85)) / 0.15**2
+        else:
+            # head 1/I(0.7), then 1/(1-t)^2 on [0.7, 0.85], 1/0.15^2 on [0.85, 1]
+            denominator = 0.7 / 0.3 + (1.0 / 0.15 - 1.0 / 0.3) + 1.0 / 0.15
+        assert_allclose(hardy_quotient(w, prof, u, truncated=truncated).quotient,
+                        numerator / denominator, rtol=1e-10)
+
+    @pytest.mark.parametrize("truncated", [False, True])
+    def test_u_k_with_1_over_k_past_T(self, truncated):
+        # phi = t on (0, 1/2), p = 3/2: I(t) = (a-t)/(a t), eta = a/(t(a-t)),
+        # T = a/2 < 1/3, eta_T = 8
+        p, a, T = 1.5, 0.5, 0.25
+        w = make_power_weight(p, 0.5, a)
+        prof = find_truncation_point(w)
+        u = extremal_U_k(w, 3)  # as in `quotient --function uk --k 3`
+        t0, u0 = u.nodes[0], abs(u.values[0])
+        assert t0 > prof.T
+        if truncated:
+            head = u0**p * (((a - T) / (a * T)) ** (1.0 - p) / (p - 1.0)
+                            + 8.0**p * (t0 * t0 - T * T) / 2.0)
+            expected = _quad_quotient(p, lambda t: 8.0, u.nodes, u.values, head)
+        else:
+            head = u0**p * ((a - t0) / (a * t0)) ** (1.0 - p) / (p - 1.0)
+            expected = _quad_quotient(p, lambda t: a / (t * (a - t)),
+                                      u.nodes, u.values, head)
+        assert_allclose(hardy_quotient(w, prof, u, truncated=truncated).quotient,
+                        expected, rtol=1e-10)
+
+
 class TestTruncatedDomination:
     def test_truncated_denominator_smaller(self, sine32):
         # eta_T <= eta pointwise, so the truncated quotient dominates
@@ -140,6 +207,18 @@ class TestExtremalSequences:
         assert_allclose(v(math.pi / 6), 3.0**0.25, rtol=1e-5)
         # continuity at T: ramp starts at the body height
         assert_allclose(v(prof.T), math.tan(prof.T) ** -0.5, rtol=1e-6)
+
+    def test_v_k_ramp_starts_at_body_value(self):
+        # the ramp is the line from the body's own value at T to 0 at ramp_end
+        w = make_sine_weight(6, 2.5, 0.75 * math.pi)
+        prof = find_truncation_point(w)
+        v = extremal_V_k(w, prof, 64)
+        a, T = w.a, prof.T
+        i = int(np.searchsorted(v.nodes, T))
+        assert v.nodes[i] == T
+        ramp = (v.nodes > T) & (v.nodes < 0.5 * (a + T))
+        line = v.values[i] * (2.0 * v.nodes[ramp] - a - T) / (T - a)
+        assert np.array_equal(v.values[ramp], line)
 
     def test_v_k_quotients_above_sharp(self, sine32):
         w, prof = sine32

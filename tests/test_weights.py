@@ -52,6 +52,15 @@ class TestSineWeight:
         assert_allclose(w.c2, 1.0, atol=1e-10)
         assert w.c1 < w.c2
 
+    @pytest.mark.parametrize("n,a", [(3, 1.5), (40, 2.0), (200, 3.1)])
+    def test_growth_constants_closed_form(self, n, a):
+        # (sin t / t)**(n-1) decreases from its supremum 1 at t -> 0 to c1 at a
+        w = make_sine_weight(n, 2.0, a)
+        assert w.c2 == 1.0
+        assert w.c1 == (math.sin(a) / a) ** (n - 1)
+        t = 1e-12 * a
+        assert w.c1 <= (math.sin(t) / t) ** (n - 1) <= w.c2
+
     def test_bad_parameters(self):
         with pytest.raises(ParameterError):
             make_sine_weight(1, 0.5, 1.0)
