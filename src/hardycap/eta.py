@@ -79,7 +79,8 @@ def eta_bounds(w, t):
     Returns ``(lo, hi)`` with ``K(t) = e / (t * (1 - (t/a)**e))``,
     ``e = delta/(p-1)``, scaled by ``(c1/c2)**(1/(p-1))`` and its
     reciprocal; ``1 - (t/a)**e = -expm1(e log(t/a))`` neither overflows
-    nor cancels near ``t = a``.
+    nor cancels near ``t = a``.  When the scale factor underflows to 0
+    there is no finite two-sided bound, and ``(0.0, inf)`` is returned.
     """
     if not 0.0 < t < w.a:
         raise DomainError(f"t must lie in (0, {w.a}), got {t}")
@@ -88,6 +89,8 @@ def eta_bounds(w, t):
     log_ratio = math.log1p((t - w.a) / w.a) if 2.0 * t > w.a else math.log(t / w.a)
     k = e / (t * -math.expm1(e * log_ratio))
     r = (w.c1 / w.c2) ** (1.0 / (w.p - 1.0))
+    if r == 0.0:
+        return 0.0, math.inf
     return r * k, k / r
 
 

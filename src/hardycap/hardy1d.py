@@ -84,13 +84,13 @@ def _panel_edges(w, breakpoints):
     return refine_breakpoints(breakpoints, singular=singular)[0]
 
 
-def _node_tails(w, pts, x):
-    """phi**(-1/(p-1)) and its tail integral I at the ``panel_nodes(pts)``
-    nodes ``x``, and I at the panel edges, from one sweep over the panels."""
-    inv_phi = w.inv_phi_pow(x)
+def _node_tails(w, pts, x, inv_phi):
+    """The tail integral I of ``inv_phi = phi**(-1/(p-1))`` at the
+    ``panel_nodes(pts)`` nodes ``x`` and at the panel edges, from one sweep
+    over the panels."""
     at_nodes, at_edges = node_tail_integrals(pts, x, inv_phi)
     beyond = tail_integral(w, pts[-1])
-    return inv_phi, at_nodes + beyond, at_edges + beyond
+    return at_nodes + beyond, at_edges + beyond
 
 
 def _quotient_edges(prof, nodes):
@@ -124,26 +124,24 @@ def hardy_quotient(w, prof, u, truncated=False):
 
     pts = _quotient_edges(prof, nodes)
     x, wts = panel_nodes(pts)
-    flat_x = x.ravel()  # globally increasing by construction
-    inv_phi, tails, edge_tails = _node_tails(w, pts, x)
-    eta_vals = (inv_phi / tails).ravel()
+    phi_vals = w.phi(x)
+    inv_phi = phi_vals ** (-1.0 / (p - 1.0))  # as w.inv_phi_pow(x)
+    tails, edge_tails = _node_tails(w, pts, x, inv_phi)
+    eta_vals = inv_phi / tails
     if truncated:
-        eta_vals = np.where(flat_x > prof.T, prof.eta_at_T, eta_vals)
+        eta_vals = np.where(x > prof.T, prof.eta_at_T, eta_vals)
 
-    u_vals = u(flat_x)
-    phi_vals = w.phi(flat_x)
-    denominator = float(np.sum(
-        (np.abs(u_vals) * eta_vals) ** p * phi_vals * wts.ravel()
-    ))
+    denominator = float(np.sum((np.abs(u(x)) * eta_vals) ** p * phi_vals * wts))
     # head [0, pts[0]], pts[0] = min(t0, T): u = u(t0) and eta_aT = eta there
     denominator += abs(values[0]) ** p * edge_tails[0] ** (1.0 - p) / (p - 1.0)
     if denominator < 1e-300:
         raise DegenerateInputError("denominator vanished; degenerate input")
 
-    # numerator: |u'| is constant per cell and 0 left of the grid
+    # numerator: |u'| is constant per cell and 0 left of the grid; every
+    # grid node past the guard is a panel edge, so a panel lies in one cell
     slopes = np.concatenate(([0.0], np.diff(values) / np.diff(nodes)))
-    cell = np.searchsorted(nodes, flat_x)
-    numerator = float(np.sum(np.abs(slopes[cell]) ** p * phi_vals * wts.ravel()))
+    cell = np.searchsorted(nodes, 0.5 * (pts[:-1] + pts[1:]))
+    numerator = float(np.sum(np.abs(slopes[cell, None]) ** p * phi_vals * wts))
 
     return QuotientReport(
         numerator=numerator,
@@ -236,7 +234,8 @@ def A_k_B_k(w, k):
     body = _panel_edges(w, np.array([s, guard_hi]))
     pts = np.concatenate((head, body[1:]))
     x, wts = panel_nodes(pts)
-    inv_phi, tails, edge_tails = _node_tails(w, pts, x)
+    inv_phi = w.inv_phi_pow(x)
+    tails, edge_tails = _node_tails(w, pts, x, inv_phi)
     # the body integrand is eta = phi**(-1/(p-1))/I; the head integrand is
     # eta * (I(s)/I)**(p-1), and edge_tails[n] = I(s)
     n = len(head) - 1

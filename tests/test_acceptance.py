@@ -7,12 +7,11 @@ output of a full run.
 
 import json
 import math
-import subprocess
-import sys
 
 import numpy as np
 from scipy.integrate import quad
 
+from conftest import run_python
 from hardycap.eta import eta_many, find_truncation_point, riccati_residual
 from hardycap.halfspace import (
     SeparableField,
@@ -269,12 +268,12 @@ def test_09_asymptotic_singularity():
 
 def test_10_cli_determinism():
     args = [
-        sys.executable, "-m", "hardycap.cli", "sharpness-1d",
+        "-m", "hardycap.cli", "sharpness-1d",
         "--weight", "sine", "--n", "3", "--p", "2",
         "--a", "1.5707963267948966", "--ks", "16,64,256,1024",
         "--truncated", "--seed", "12345",
     ]
-    out1 = subprocess.run(args, capture_output=True, text=True)
-    out2 = subprocess.run(args, capture_output=True, text=True)
+    out1 = run_python(*args)
+    out2 = run_python(*args)
     ok = out1.returncode == 0 and out1.stdout == out2.stdout and out1.stdout != ""
     report(10, ok, f"byte-identical CSV across reruns: {out1.stdout == out2.stdout}")

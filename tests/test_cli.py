@@ -1,21 +1,16 @@
 import json
 import math
-import subprocess
-import sys
 
 import pytest
 
+from conftest import run_python
 from hardycap.cli import main
 
 HALF_PI = "1.5707963267948966"
 
 
 def run_cli(*args):
-    proc = subprocess.run(
-        [sys.executable, "-m", "hardycap.cli", *args],
-        capture_output=True, text=True,
-    )
-    return proc
+    return run_python("-m", "hardycap.cli", *args)
 
 
 class TestFindT:

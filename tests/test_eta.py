@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -88,6 +89,15 @@ class TestEtaOracles:
         lo, hi = eta_bounds(w, 50.0)
         e = w.delta / (w.p - 1.0)
         assert_allclose([lo, hi], [e / 50.0, e / 50.0], rtol=1e-15)
+
+    @pytest.mark.parametrize("t", [1.0, np.float64(1.0)], ids=["float", "numpy"])
+    def test_bounds_when_scale_underflows(self, t):
+        # c1 = (sin a / a)**199 underflows to 0: no finite two-sided bound
+        w = make_sine_weight(200, 2.0, 3.1)
+        assert w.c1 == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert eta_bounds(w, t) == (0.0, math.inf)
 
     @pytest.mark.parametrize("a", [1.0, 3.0, 0.7])
     def test_bounds_near_endpoint(self, a):

@@ -260,7 +260,7 @@ class TestNodeTails:
         prof = find_truncation_point(w)
         pts = _quotient_edges(prof, extremal_V_k(w, prof, 4096).nodes)
         x, _ = panel_nodes(pts)
-        _, tails, edge_tails = _node_tails(w, pts, x)
+        tails, edge_tails = _node_tails(w, pts, x, w.inv_phi_pow(x))
         assert np.any(w.a - x < 1e-11 * w.a)  # nodes right next to a are covered
         assert_allclose(tails, closed(x, w.a), rtol=1e-12)
         assert_allclose(edge_tails, closed(pts, w.a), rtol=1e-12)
@@ -279,6 +279,28 @@ class TestNodeTails:
         w = make(*args)
         for k, ab in expected.items():
             assert_allclose(A_k_B_k(w, k), ab, rtol=1e-12)
+
+
+class TestQuotientPinned:
+    """Numerator and denominator of extremal quotients, pinned to the values
+    of the per-node implementation (each Gauss node's own grid cell, phi
+    evaluated twice); the quotient takes one cell per panel and one phi."""
+
+    @pytest.mark.parametrize("make,args,u_16,v_4096", [
+        (make_sine_weight, (3, 2.0, HALF_PI),
+         (6.3683250444529635, 23.473879867780774),
+         (3.8275698383795813, 9.630035157762709)),
+        (make_power_weight, (2.5, 0.5, 1.0),
+         (6.770845754565012, 22.36197991289108),
+         (3.1706185247025767, 4.823771885441414)),
+    ])
+    def test_numerator_and_denominator(self, make, args, u_16, v_4096):
+        w = make(*args)
+        prof = find_truncation_point(w)
+        full = hardy_quotient(w, prof, extremal_U_k(w, 16))
+        truncated = hardy_quotient(w, prof, extremal_V_k(w, prof, 4096), truncated=True)
+        assert_allclose((full.numerator, full.denominator), u_16, rtol=1e-15)
+        assert_allclose((truncated.numerator, truncated.denominator), v_4096, rtol=1e-15)
 
 
 class TestRandomLowerBound:

@@ -1,17 +1,24 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from hardycap import hardy1d
+from hardycap.eta import find_truncation_point
 from hardycap.quadrature import (
+    DEFAULT_RATIO,
     GL_NODES,
     GL_TAIL,
+    LOCKSTEP_MIN,
     integrate,
     node_tail_integrals,
     panel_nodes,
     refine_breakpoints,
     segment_integrals,
 )
+from hardycap.weights import make_sine_weight
 
 
 def test_polynomial_exact():
@@ -71,3 +78,69 @@ def test_node_tail_integrals_vs_closed_form():
     assert_allclose(at_nodes, (1.0 - x) / x, rtol=1e-13)
     assert_allclose(at_edges, (1.0 - pts) / pts, rtol=1e-13, atol=1e-15)
     assert at_edges[-1] == 0.0
+
+
+def _reference_refine(breakpoints, singular=(), rel=DEFAULT_RATIO, coarse=8):
+    """The panel layout one segment and one panel at a time."""
+    breakpoints = np.asarray(breakpoints, dtype=float)
+    out = [breakpoints[0]]
+    counts = np.empty(len(breakpoints) - 1, dtype=np.intp)
+    scale = max(abs(breakpoints[0]), abs(breakpoints[-1]), 1.0)
+    for i, (lo, hi) in enumerate(zip(breakpoints[:-1], breakpoints[1:])):
+        cur = lo
+        k = 0
+        while True:
+            width = (hi - lo) / coarse
+            for s in singular:
+                width = min(width, rel * abs(cur - s) if cur < s else rel * (cur - s))
+            width = max(width, 1e-15 * scale)
+            nxt = cur + width
+            k += 1
+            if nxt >= hi - 1e-16 * scale:
+                out.append(hi)
+                break
+            out.append(nxt)
+            cur = nxt
+        counts[i] = k
+    return np.array(out), counts
+
+
+def _assert_same_as_reference(*args, **kwargs):
+    pts, counts = refine_breakpoints(*args, **kwargs)
+    ref_pts, ref_counts = _reference_refine(*args, **kwargs)
+    assert np.array_equal(pts, ref_pts)
+    assert np.array_equal(counts, ref_counts)
+    assert counts.dtype == ref_counts.dtype
+
+
+@pytest.mark.parametrize("coarse", [1, 3, 8])
+@pytest.mark.parametrize("rel", [0.1, 0.2, 0.5])
+@pytest.mark.parametrize("segments", [1, LOCKSTEP_MIN - 1, LOCKSTEP_MIN,
+                                      LOCKSTEP_MIN + 1, 4097])
+def test_refine_bit_identical_to_one_segment_at_a_time(segments, rel, coarse):
+    # breakpoints on both sides of 0, a quarter of the segments zero-width,
+    # singular points inside segments and one that starts a segment
+    rng = np.random.default_rng([segments, coarse, int(10 * rel)])
+    bp = np.sort(rng.uniform(-2.0, 4.0, segments + 1))
+    for i in rng.choice(segments, segments // 4, replace=False):
+        bp[i + 1] = bp[i]
+    singular = (0.0, math.pi, float(bp[segments // 2]))
+    _assert_same_as_reference(bp, singular, rel, coarse)
+    _assert_same_as_reference(bp, (), rel, coarse)
+
+
+def test_quotient_layout_bit_identical(monkeypatch):
+    # the panels of a V_4096 quotient: about 32k panels from 3.8k segments
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return refine_breakpoints(*args, **kwargs)
+
+    monkeypatch.setattr(hardy1d, "refine_breakpoints", recording)
+    w = make_sine_weight(3, 2.0, math.pi / 2)
+    prof = find_truncation_point(w)
+    hardy1d.hardy_quotient(w, prof, hardy1d.extremal_V_k(w, prof, 4096), truncated=True)
+    (args, kwargs), = calls
+    assert len(args[0]) > 3000
+    _assert_same_as_reference(*args, **kwargs)
