@@ -23,6 +23,10 @@ from .weights import Weight, validate_weight
 
 #: eta is never evaluated closer to an endpoint than this fraction of a
 ENDPOINT_GUARD = 1e-12
+#: points of the geometric grid that brackets the minimiser of eta
+BRACKET_GRID = 256
+#: absolute tolerance in t of the golden-section search for T
+GOLDEN_TOL = 1e-10
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio reciprocal
 
@@ -56,18 +60,37 @@ def tail_integrals(w, ts):
     return np.cumsum(seg[::-1])[::-1]
 
 
+def _not_finite(t, inv_phi, tail):
+    return NumericalError(
+        f"eta_a is not finite at t={float(t)!r}: phi**(-1/(p-1)) = "
+        f"{float(inv_phi)!r} over its tail integral {float(tail)!r}"
+    )
+
+
 def eta(w, t):
     """The weight eta_a at a single point."""
     _check_interior(w, t)
-    return float(w.inv_phi_pow(t)) / tail_integral(w, t)
+    inv_phi, tail = float(w.inv_phi_pow(t)), tail_integral(w, t)
+    value = inv_phi / tail
+    if not math.isfinite(value):
+        raise _not_finite(t, inv_phi, tail)
+    return value
 
 
 def eta_many(w, ts):
-    """Vectorised eta_a; ``ts`` need not be sorted."""
+    """Vectorised eta_a; ``ts`` need not be sorted.
+
+    Raises ``NumericalError`` naming the smallest t where eta_a is not
+    finite, which happens when ``phi**(-1/(p-1))`` overflows.
+    """
     ts = _check_interior(w, ts)
     order = np.argsort(ts, kind="stable")
     sorted_ts, inverse = np.unique(ts[order], return_inverse=True)
-    vals = w.inv_phi_pow(sorted_ts) / tail_integrals(w, sorted_ts)
+    inv_phi, tails = w.inv_phi_pow(sorted_ts), tail_integrals(w, sorted_ts)
+    vals = inv_phi / tails
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if len(bad):
+        raise _not_finite(sorted_ts[bad[0]], inv_phi[bad[0]], tails[bad[0]])
     out = np.empty_like(ts)
     out[order] = vals[inverse]
     return out
@@ -118,19 +141,20 @@ class EtaProfile:
     eta_at_T: float
 
 
-def find_truncation_point(w, bracket_grid=256, tol=1e-10):
+def find_truncation_point(w):
     """Locate the unique interior minimiser of eta_a.
 
-    Brackets the minimum on a geometric sample grid, then refines by
-    golden-section search to absolute tolerance ``tol`` in t.
+    Brackets the minimum on a geometric sample grid of ``BRACKET_GRID``
+    points, then refines by golden-section search to absolute tolerance
+    ``GOLDEN_TOL`` in t.
     """
     report = validate_weight(w)
     if not report.log_concave_ok:
         raise ParameterError("weight fails the log-concavity check; no unique minimiser")
-    grid = w.a * np.geomspace(1e-6, 1.0 - 1e-6, bracket_grid)
+    grid = w.a * np.geomspace(1e-6, 1.0 - 1e-6, BRACKET_GRID)
     vals = eta_many(w, grid)
     i = int(np.argmin(vals))
-    if i == 0 or i == bracket_grid - 1:
+    if i == 0 or i == BRACKET_GRID - 1:
         raise NumericalError(
             f"failed to bracket the minimum of eta on (0, {w.a}); "
             f"sampled minimum at grid edge t={grid[i]:.6g}"
@@ -140,7 +164,7 @@ def find_truncation_point(w, bracket_grid=256, tol=1e-10):
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
     fc, fd = eta(w, c), eta(w, d)
-    while hi - lo > tol:
+    while hi - lo > GOLDEN_TOL:
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - _INV_PHI * (hi - lo)

@@ -77,7 +77,7 @@ def _radial_moment(radial, exponent, p):
     return float(np.sum(values**p * r**exponent * w))
 
 
-def verify_halfspace(n, p, f, tol=1e-9):
+def verify_halfspace(n, p, f):
     """Rayleigh quotient of a separable field; equals the angular quotient.
 
     The radial moment integral R^p r^{n-p} dr multiplies both the
@@ -88,7 +88,7 @@ def verify_halfspace(n, p, f, tol=1e-9):
         raise DomainError(f"p must satisfy 1 < p < n, got p={p}, n={n}")
     if np.all(f.angular.values == 0.0):
         raise DegenerateInputError("angular factor is identically zero")
-    angular = verify_sphere_theorem(f.angular.geometry, p, f.angular, tol=tol)
+    angular = verify_sphere_theorem(f.angular.geometry, p, f.angular)
     moment = _radial_moment(f.radial, n - p, p)
     return QuotientReport(
         numerator=moment * angular.numerator,

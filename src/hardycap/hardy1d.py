@@ -78,19 +78,26 @@ def sharp_constant(p):
 
 
 def _panel_edges(w, breakpoints):
-    """Refined panel edges over the breakpoints, honouring the weight's
+    """``refine_breakpoints`` over the breakpoints, honouring the weight's
     singularities and the endpoint a, where eta diverges."""
     singular = tuple(w.singular_points) + (w.a,)
-    return refine_breakpoints(breakpoints, singular=singular)[0]
+    return refine_breakpoints(breakpoints, singular=singular)
 
 
-def _node_tails(w, pts, x, inv_phi):
-    """The tail integral I of ``inv_phi = phi**(-1/(p-1))`` at the
-    ``panel_nodes(pts)`` nodes ``x`` and at the panel edges, from one sweep
-    over the panels."""
+def _sweep(w, pts):
+    """Everything the quotient integrals need on the panels ``pts``.
+
+    Returns the ``panel_nodes(pts)`` nodes and weights, ``phi`` and
+    ``phi**(-1/(p-1))`` at the nodes, and the tail integral I of the
+    latter at the nodes and at the panel edges, from one sweep over the
+    panels.
+    """
+    x, wts = panel_nodes(pts)
+    phi = w.phi(x)
+    inv_phi = phi ** (-1.0 / (w.p - 1.0))  # as w.inv_phi_pow(x)
     at_nodes, at_edges = node_tail_integrals(pts, x, inv_phi)
     beyond = tail_integral(w, pts[-1])
-    return at_nodes + beyond, at_edges + beyond
+    return x, wts, phi, inv_phi, at_nodes + beyond, at_edges + beyond
 
 
 def _quotient_edges(prof, nodes):
@@ -101,7 +108,7 @@ def _quotient_edges(prof, nodes):
     # interior breakpoints: the nodes themselves, T (kink of eta_T), guards
     interior = nodes[nodes > guard_lo]
     bp = np.concatenate(([max(nodes[0], guard_lo)], interior, [prof.T]))
-    return _panel_edges(prof.weight, np.unique(np.clip(bp, guard_lo, guard_hi)))
+    return _panel_edges(prof.weight, np.unique(np.clip(bp, guard_lo, guard_hi)))[0]
 
 
 def hardy_quotient(w, prof, u, truncated=False):
@@ -123,10 +130,7 @@ def hardy_quotient(w, prof, u, truncated=False):
         raise DegenerateInputError("grid function is identically zero")
 
     pts = _quotient_edges(prof, nodes)
-    x, wts = panel_nodes(pts)
-    phi_vals = w.phi(x)
-    inv_phi = phi_vals ** (-1.0 / (p - 1.0))  # as w.inv_phi_pow(x)
-    tails, edge_tails = _node_tails(w, pts, x, inv_phi)
+    x, wts, phi_vals, inv_phi, tails, edge_tails = _sweep(w, pts)
     eta_vals = inv_phi / tails
     if truncated:
         eta_vals = np.where(x > prof.T, prof.eta_at_T, eta_vals)
@@ -230,15 +234,13 @@ def A_k_B_k(w, k):
     guard_lo = a * ENDPOINT_GUARD
     guard_hi = a * (1.0 - ENDPOINT_GUARD)
 
-    head = _panel_edges(w, np.array([guard_lo, s]))
-    body = _panel_edges(w, np.array([s, guard_hi]))
-    pts = np.concatenate((head, body[1:]))
-    x, wts = panel_nodes(pts)
-    inv_phi = w.inv_phi_pow(x)
-    tails, edge_tails = _node_tails(w, pts, x, inv_phi)
+    # one call: its scale is the body's, and the head keeps the edges of a
+    # call on [guard_lo, s] alone
+    pts, counts = _panel_edges(w, np.array([guard_lo, s, guard_hi]))
+    _, wts, _, inv_phi, tails, edge_tails = _sweep(w, pts)
     # the body integrand is eta = phi**(-1/(p-1))/I; the head integrand is
     # eta * (I(s)/I)**(p-1), and edge_tails[n] = I(s)
-    n = len(head) - 1
+    n = counts[0]
     eta_wts = inv_phi / tails * wts
     a_k = float(np.sum((edge_tails[n] / tails[:n]) ** (p - 1.0) * eta_wts[:n]))
     b_k = float(np.sum(eta_wts[n:]))

@@ -8,7 +8,9 @@ panels whose width shrinks geometrically towards those points keeps a fixed
 vectorised in numpy.
 
 The panel edges of a segment are the same bits whether it is refined
-alone or together with any number of others.  The golden-section
+alone or together with any number of others, given the same scale (the
+floor on a panel width and the stopping slack grow with the outermost
+breakpoints).  The golden-section
 truncation point is built from one-segment integrals and moves by up to
 1.6e-8 under one-ulp changes in them, and perfbench/reference.json pins
 the quotients to 1e-9, so the layout may get faster but not move.
@@ -38,19 +40,19 @@ def _tail_matrix(nodes, weights):
 GL_TAIL = _tail_matrix(GL_NODES, GL_WEIGHTS)
 
 #: panel width relative to the distance from the nearest singular point
-DEFAULT_RATIO = 0.2
+PANEL_RATIO = 0.2
 #: fewest unfinished segments refined in lockstep; on a handful of
 #: segments a numpy step costs more than the Python steps it replaces
 LOCKSTEP_MIN = 8
 
 
-def _march(cur, base, hi, stop, singular, rel, floor):
+def _march(cur, base, hi, stop, singular, floor):
     """Panel edges of one segment after ``cur``, one panel at a time."""
     edges = []
     while True:
         width = base
         for s in singular:
-            width = min(width, rel * abs(cur - s))
+            width = min(width, PANEL_RATIO * abs(cur - s))
         nxt = cur + max(width, floor)  # progress even at a singular point
         if nxt >= stop:
             edges.append(hi)
@@ -59,20 +61,20 @@ def _march(cur, base, hi, stop, singular, rel, floor):
         cur = nxt
 
 
-def refine_breakpoints(breakpoints, singular=(), rel=DEFAULT_RATIO, coarse=8):
+def refine_breakpoints(breakpoints, singular=(), coarse=8):
     """Subdivide a sorted breakpoint array into quadrature panels.
 
-    Each returned panel has width at most ``rel`` times its distance to
-    every point in ``singular`` and at most ``1/coarse`` of the segment it
-    came from.  Returns ``(points, counts)`` where ``counts[i]`` is the
-    number of panels the i-th input segment was split into.
+    Each returned panel has width at most ``PANEL_RATIO`` times its
+    distance to every point in ``singular`` and at most ``1/coarse`` of the
+    segment it came from.  Returns ``(points, counts)`` where ``counts[i]``
+    is the number of panels the i-th input segment was split into.
 
     Every unfinished segment advances one panel per numpy step, and the
     last ``LOCKSTEP_MIN - 1`` or fewer are finished one panel at a time in
     Python, with the same floating-point operations.  So the edges of a
     segment do not depend on how many segments are refined together: they
-    are the same bits as from a call on that segment alone (see the module
-    docstring for why that matters).
+    are the same bits as from the one-segment loop with the same ``scale``
+    (see the module docstring for why that matters).
     """
     breakpoints = np.asarray(breakpoints, dtype=float)
     lo, hi = breakpoints[:-1], breakpoints[1:]
@@ -87,7 +89,7 @@ def refine_breakpoints(breakpoints, singular=(), rel=DEFAULT_RATIO, coarse=8):
     while len(seg) >= LOCKSTEP_MIN:
         width = base[seg]
         for s in singular:
-            width = np.minimum(width, rel * np.abs(cur - s))
+            width = np.minimum(width, PANEL_RATIO * np.abs(cur - s))
         nxt = cur + np.maximum(width, floor)
         done = nxt >= stop[seg]
         steps.append((seg, np.where(done, hi[seg], nxt)))
@@ -95,7 +97,7 @@ def refine_breakpoints(breakpoints, singular=(), rel=DEFAULT_RATIO, coarse=8):
         going = ~done
         seg, cur = seg[going], nxt[going]
     rest = [
-        _march(c, b, h, t, singular, rel, floor)
+        _march(c, b, h, t, singular, floor)
         for c, b, h, t in zip(cur.tolist(), base[seg].tolist(),
                               hi[seg].tolist(), stop[seg].tolist())
     ]

@@ -27,7 +27,17 @@ from scipy.special import betainc, betaincc, betainccinv, betaincinv
 from .errors import DomainError, InequalityViolationError, ParameterError
 from .eta import eta_truncated_many, find_truncation_point
 from .hardy1d import GridFunction, QuotientReport, extremal_V_k, hardy_quotient
-from .weights import make_sine_weight
+from .weights import _dimension, make_sine_weight
+
+#: absolute slack before a Hardy-Littlewood or cap-inequality check reports
+#: a violation
+VIOLATION_TOL = 1e-9
+#: the same slack for radial Polya-Szego, whose rearranged side is
+#: interpolated onto a grid
+POLYA_SZEGO_TOL = 1e-6
+#: theta samples and levels of the tabulated radial rearrangement
+EVAL_GRID = 2048
+LEVEL_GRID = 4096
 
 
 def sphere_surface_volume(m):
@@ -89,8 +99,7 @@ class CapGeometry:
     a_star: float
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ParameterError(f"n must be >= 2, got {self.n}")
+        object.__setattr__(self, "n", _dimension(self.n))
         if not 0.0 < self.a_star < math.pi:
             raise ParameterError(f"a_star must lie in (0, pi), got {self.a_star}")
         if self.measure == 0.0:
@@ -160,15 +169,13 @@ class SampleSet:
 
 
 def _merged_layers(s):
-    """Distinct |values| sorted descending with summed weights and their
-    cumulative measures."""
+    """Distinct |values| sorted descending with the cumulative measures of
+    their summed weights."""
     v = np.abs(s.values)
     order = np.argsort(-v, kind="stable")
     v, w = v[order], s.weights[order]
     levels, start = np.unique(-v, return_index=True)
-    levels = -levels  # descending
-    bucket = np.add.reduceat(w, start)
-    return levels, bucket, np.cumsum(bucket)
+    return -levels, np.cumsum(np.add.reduceat(w, start))
 
 
 def distribution_function(s, t):
@@ -183,7 +190,7 @@ def decreasing_rearrangement(s, sigma):
     total = s.total_measure
     if not 0.0 <= sigma <= total:
         raise DomainError(f"sigma must lie in [0, {total}], got {sigma}")
-    levels, _, cum = _merged_layers(s)
+    levels, cum = _merged_layers(s)
     # cum[-1] and total are the same sum in different association orders;
     # clamp so that u*(|Omega|) is exactly 0
     cum[-1] = min(cum[-1], total)
@@ -207,11 +214,6 @@ class CapStepProfile:
     boundaries: np.ndarray  # length J+1, starts at 0
     levels: np.ndarray  # length J, non-increasing
 
-    def value(self, theta):
-        idx = np.clip(np.searchsorted(self.boundaries, theta, side="right") - 1,
-                      0, len(self.levels) - 1)
-        return self.levels[idx]
-
     def cell_measures(self):
         vols = cap_volume(self.geometry.n, self.boundaries)
         return np.diff(vols)
@@ -228,25 +230,29 @@ def spherical_rearrangement(s, geom):
         raise ParameterError(
             f"sample-set measure {total} does not match the cap volume {geom.measure}"
         )
-    levels, _, cum = _merged_layers(s)
-    # boundary of the j-th plateau: the cap radius holding cumulative mass
-    inner = inverse_cap_volume(geom.n, cum[:-1])
+    levels, cum = _merged_layers(s)
+    # boundary of the j-th plateau: the cap radius holding cumulative mass;
+    # layers of zero weight at the top hold none, so their radius is 0
+    inner = np.zeros(len(cum) - 1)
+    held = cum[:-1] > 0.0
+    inner[held] = inverse_cap_volume(geom.n, cum[:-1][held])
     boundaries = np.concatenate(([0.0], inner, [geom.a_star]))
     return CapStepProfile(geometry=geom, boundaries=boundaries, levels=levels)
 
 
-def check_hardy_littlewood(s1, s2, geom, tol=1e-9):
+def check_hardy_littlewood(s1, s2, geom):
     """Hardy-Littlewood: integral u*v over Omega vs its rearranged form.
 
     Both sample sets must live on the same cells.  Returns ``(lhs, rhs)``
     with ``lhs = sum w*u*v`` and ``rhs = integral u* v* dsigma`` computed
-    exactly on the merged plateau structure; raises if lhs > rhs + tol.
+    exactly on the merged plateau structure; raises if
+    lhs > rhs + VIOLATION_TOL.
     """
     if s1.values.shape != s2.values.shape or not np.array_equal(s1.weights, s2.weights):
         raise ParameterError("sample sets must share the same cell structure")
     lhs = float(np.sum(s1.weights * s1.values * s2.values))
-    lev1, _, cum1 = _merged_layers(s1)
-    lev2, _, cum2 = _merged_layers(s2)
+    lev1, cum1 = _merged_layers(s1)
+    lev2, cum2 = _merged_layers(s2)
     cuts = np.union1d(cum1, cum2)
     widths = np.diff(np.concatenate(([0.0], cuts)))
     mids = cuts - 0.5 * widths
@@ -254,7 +260,7 @@ def check_hardy_littlewood(s1, s2, geom, tol=1e-9):
     u_star = lev1[np.minimum(np.searchsorted(cum1, mids), len(lev1) - 1)]
     v_star = lev2[np.minimum(np.searchsorted(cum2, mids), len(lev2) - 1)]
     rhs = float(np.sum(widths * u_star * v_star))
-    if lhs > rhs + tol:
+    if lhs > rhs + VIOLATION_TOL:
         raise InequalityViolationError(
             f"Hardy-Littlewood violated: lhs={lhs!r} > rhs={rhs!r}"
         )
@@ -301,8 +307,9 @@ def rho_asymptotic_check(geom, p, t):
 # Theorem-level verification on radial profiles
 
 
-def verify_sphere_theorem(geom, p, u, tol=1e-9):
-    """Rayleigh quotient of a radial cap profile against rho^p.
+def verify_sphere_theorem(geom, p, u):
+    """Rayleigh quotient of a radial cap profile against rho^p; raises if
+    it falls below the sharp constant by more than ``VIOLATION_TOL``.
 
     For radial u the gradient is the theta-derivative and both sides
     reduce to weighted line integrals; since
@@ -318,7 +325,7 @@ def verify_sphere_theorem(geom, p, u, tol=1e-9):
     scale = ((p - 1.0) / (n - p)) ** p
     quotient = rep.quotient / scale
     sharp = ((n - p) / p) ** p
-    if quotient < sharp - tol:
+    if quotient < sharp - VIOLATION_TOL:
         raise InequalityViolationError(
             f"cap inequality violated: quotient {quotient!r} < sharp constant {sharp!r}"
         )
@@ -388,13 +395,13 @@ def _mu_of_levels(geom, nodes, values, levels):
     return np.bincount(level, weights=signed, minlength=len(levels))
 
 
-def radial_rearrangement(u, eval_grid=2048, level_grid=4096):
+def radial_rearrangement(u):
     """Spherical rearrangement of a radial profile as a continuous profile.
 
     Already non-increasing profiles are returned unchanged (the
     rearrangement is the identity).  Otherwise the distribution function
-    of |u| is tabulated exactly on a dense level grid and inverted onto a
-    theta grid that includes the original nodes.
+    of |u| is tabulated exactly on ``LEVEL_GRID`` levels plus the node
+    values and inverted onto ``EVAL_GRID`` thetas plus the original nodes.
     """
     geom = u.geometry
     nodes, vabs = _profile_abs_with_crossings(u)
@@ -402,9 +409,9 @@ def radial_rearrangement(u, eval_grid=2048, level_grid=4096):
         return u if np.all(u.values >= 0.0) else SphericalProfile(
             geom, GridFunction(nodes, vabs))
     vmax = vabs.max()
-    levels = np.union1d(np.linspace(0.0, vmax, level_grid), vabs)
+    levels = np.union1d(np.linspace(0.0, vmax, LEVEL_GRID), vabs)
     mu = _mu_of_levels(geom, nodes, vabs, levels)
-    thetas = np.union1d(np.linspace(0.0, geom.a_star, eval_grid), nodes)
+    thetas = np.union1d(np.linspace(0.0, geom.a_star, EVAL_GRID), nodes)
     sigma = cap_volume(geom.n, thetas)
     # mu is non-increasing in the level; invert by interpolation
     out = np.interp(sigma, mu[::-1], levels[::-1])
@@ -412,9 +419,10 @@ def radial_rearrangement(u, eval_grid=2048, level_grid=4096):
     return SphericalProfile(geom, GridFunction(thetas, out))
 
 
-def check_polya_szego_radial(geom, q, u, tol=1e-6):
+def check_polya_szego_radial(geom, q, u):
     """Polya-Szego for radial cap profiles: symmetrisation does not
-    increase the q-Dirichlet energy.  Returns ``(lhs, rhs)``."""
+    increase the q-Dirichlet energy.  Returns ``(lhs, rhs)``; raises if
+    lhs < rhs - POLYA_SZEGO_TOL."""
     if q < 1:
         raise DomainError(f"q must be >= 1, got {q}")
     if u.geometry != geom:
@@ -423,7 +431,7 @@ def check_polya_szego_radial(geom, q, u, tol=1e-6):
     lhs = _radial_gradient_energy(geom, nodes, vabs, q)
     star = radial_rearrangement(u)
     rhs = _radial_gradient_energy(geom, star.nodes, star.values, q)
-    if lhs < rhs - tol:
+    if lhs < rhs - POLYA_SZEGO_TOL:
         raise InequalityViolationError(
             f"Polya-Szego violated: lhs={lhs!r} < rhs={rhs!r}"
         )

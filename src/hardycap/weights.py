@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 
 POWER = "power"
 SINE = "sine"
@@ -25,18 +25,29 @@ SINE = "sine"
 class Weight:
     """An admissible weight with closed-form evaluators.
 
-    ``delta``, ``c1`` and ``c2`` are the growth constants of the two-sided
-    power-law bound; for the power family they are exact, for the sine
-    family they are the extrema of ``phi(t) / t**(p-1+delta)`` on (0, a].
+    ``delta`` sets the exponent of the two-sided power-law growth bound.
+    Its constants ``c1`` and ``c2`` are derived from the family, not
+    stored, so they always agree with ``phi``: 1 for the power family, the
+    extrema of ``phi(t) / t**(p-1+delta)`` on (0, a] for the sine family.
     """
 
     p: float
     a: float
     kind: str
     delta: float
-    c1: float
-    c2: float
     n: int = 0  # sine family only
+
+    @property
+    def c1(self):
+        if self.kind == SINE:
+            # (sin t / t)**(n-1) decreases on (0, pi); its minimum is at t = a
+            return float((math.sin(self.a) / self.a) ** (self.n - 1))
+        return 1.0
+
+    @property
+    def c2(self):
+        # 1 for both families: the sine ratio tends to its supremum 1 at t -> 0
+        return 1.0
 
     @property
     def growth_exponent(self):
@@ -75,31 +86,36 @@ class Weight:
 
 
 def make_power_weight(p, delta, a):
-    """Weight ``phi(t) = t**(p-1+delta)``; the growth bound holds with c1 = c2 = 1."""
+    """Weight ``phi(t) = t**(p-1+delta)``."""
     if not p > 1:
         raise ParameterError(f"p must be > 1, got {p}")
     if not delta > 0:
         raise ParameterError(f"delta must be > 0, got {delta}")
     if not a > 0:
         raise ParameterError(f"a must be > 0, got {a}")
-    return Weight(p=float(p), a=float(a), kind=POWER, delta=float(delta), c1=1.0, c2=1.0)
+    return Weight(p=float(p), a=float(a), kind=POWER, delta=float(delta))
+
+
+def _dimension(n):
+    """``n`` as an int >= 2; integral floats and numpy integers pass, other
+    values raise rather than being truncated."""
+    try:
+        whole = int(n)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != n or whole < 2:
+        raise ParameterError(f"n must be an integer >= 2, got {n!r}")
+    return whole
 
 
 def make_sine_weight(n, p, a):
     """Weight ``phi(t) = sin(t)**(n-1)`` on (0, a), a < pi, with 1 < p < n."""
-    n = int(n)
-    if n < 2:
-        raise ParameterError(f"n must be an integer >= 2, got {n}")
+    n = _dimension(n)
     if not 1 < p < n:
         raise ParameterError(f"p must satisfy 1 < p < n, got p={p}, n={n}")
     if not 0 < a < math.pi:
         raise ParameterError(f"a must lie in (0, pi), got {a}")
-    # phi(t)/t**(n-1) = (sin t / t)**(n-1) decreases on (0, pi) from its
-    # supremum 1 at t -> 0 to its minimum at t = a
-    return Weight(
-        p=float(p), a=float(a), kind=SINE, delta=float(n - p),
-        c1=float((math.sin(a) / a) ** (n - 1)), c2=1.0, n=n,
-    )
+    return Weight(p=float(p), a=float(a), kind=SINE, delta=float(n - p), n=n)
 
 
 @dataclass(frozen=True)
@@ -127,7 +143,14 @@ def validate_weight(w, grid_size=1024):
     boundary_ok = bool(w.phi(0.0) == 0.0 and np.all(np.diff(vals[:16]) > 0.0))
     positive_ok = bool(np.all(vals > 0.0))
     log_concave_ok = bool(np.all(w.log_phi_dd(grid) < 0.0))
-    ratio = vals / grid**w.growth_exponent
+    # the ratio means nothing where t**growth underflows (positive_ok
+    # reports the underflow of phi itself)
+    power = grid**w.growth_exponent
+    normal = power >= np.finfo(float).tiny
+    if not np.any(normal):
+        raise NumericalError(
+            f"t**{w.growth_exponent:g} underflows on the whole grid (0, {w.a:g}]")
+    ratio = vals[normal] / power[normal]
     growth_ok = bool(
         np.all(ratio >= w.c1 * (1.0 - 1e-12)) and np.all(ratio <= w.c2 * (1.0 + 1e-12))
     )

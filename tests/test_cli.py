@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from conftest import run_python
@@ -161,3 +162,22 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert "a_star=0.157" in err and "n=256" in err and "underflows" in err
         assert len(err) < 120 and err.count("\n") == 1
+
+
+class TestOverflowingWeight:
+    """sine(200, 2, 3.1): phi**(-1/(p-1)) overflows near t = 0."""
+
+    FLAGS = ["--weight", "sine", "--n", "200", "--p", "2", "--a", "3.1"]
+
+    def test_eta_table_exits_3(self, capsys):
+        with np.errstate(all="ignore"):
+            assert main(["eta-table", *self.FLAGS]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not finite at t=3.1e-06" in captured.err
+
+    def test_validate_weight_prints_finite_constants(self, capsys):
+        assert main(["validate-weight", *self.FLAGS, "--format", "json"]) == 0
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        assert math.isfinite(row["c1"]) and math.isfinite(row["c2"])
+        assert row["positive_ok"] is False and row["all_ok"] is False

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from hardycap.errors import DomainError
+from hardycap.errors import DomainError, NumericalError
 from hardycap.eta import (
     eta,
     eta_bounds,
@@ -116,6 +116,33 @@ class TestEtaOracles:
         lo, hi = eta_bounds(power211, 0.4)
         assert_allclose(lo, hi, rtol=1e-14)
         assert_allclose(lo, eta(power211, 0.4), rtol=1e-12)
+
+
+class TestNotFinite:
+    """phi**(-1/(p-1)) = sin(t)**-199 overflows for t < 0.028, so eta_a
+    there is inf/inf; it raises instead of returning nan."""
+
+    def test_eta_many_names_first_point(self):
+        w = make_sine_weight(200, 2.0, 3.1)
+        ts = np.array([1.0, 0.01, 0.02, 1e-3])
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalError, match=r"t=0\.001\b"):
+                eta_many(w, ts)
+            # finite where phi**(-1/(p-1)) and its tail integral are
+            assert np.all(np.isfinite(eta_many(w, [1.0, 2.0, 3.0])))
+
+    def test_scalar_eta(self):
+        w = make_sine_weight(200, 2.0, 3.1)
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="not finite"):
+            eta(w, 0.01)
+
+    @pytest.mark.parametrize("make,args", [
+        (make_sine_weight, (200, 2.0, 1.0)),
+        (make_power_weight, (1.01, 1.0, 1.0)),
+    ])
+    def test_truncation_point_names_the_overflow(self, make, args):
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="= inf"):
+            find_truncation_point(make(*args))
 
 
 class TestRiccati:

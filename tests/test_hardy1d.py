@@ -11,15 +11,14 @@ from hardycap.eta import ENDPOINT_GUARD, find_truncation_point
 from hardycap.hardy1d import (
     A_k_B_k,
     GridFunction,
-    _node_tails,
     _quotient_edges,
+    _sweep,
     convergence_study,
     extremal_U_k,
     extremal_V_k,
     hardy_quotient,
     sharp_constant,
 )
-from hardycap.quadrature import panel_nodes
 from hardycap.weights import make_power_weight, make_sine_weight
 
 HALF_PI = math.pi / 2
@@ -259,8 +258,7 @@ class TestNodeTails:
         w = make(*args)
         prof = find_truncation_point(w)
         pts = _quotient_edges(prof, extremal_V_k(w, prof, 4096).nodes)
-        x, _ = panel_nodes(pts)
-        tails, edge_tails = _node_tails(w, pts, x, w.inv_phi_pow(x))
+        x, _, _, _, tails, edge_tails = _sweep(w, pts)
         assert np.any(w.a - x < 1e-11 * w.a)  # nodes right next to a are covered
         assert_allclose(tails, closed(x, w.a), rtol=1e-12)
         assert_allclose(edge_tails, closed(pts, w.a), rtol=1e-12)

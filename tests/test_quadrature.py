@@ -5,13 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from hardycap import hardy1d
-from hardycap.eta import find_truncation_point
+from hardycap import hardy1d, quadrature
+from hardycap.eta import ENDPOINT_GUARD, find_truncation_point
 from hardycap.quadrature import (
-    DEFAULT_RATIO,
     GL_NODES,
     GL_TAIL,
     LOCKSTEP_MIN,
+    PANEL_RATIO,
     integrate,
     node_tail_integrals,
     panel_nodes,
@@ -80,7 +80,7 @@ def test_node_tail_integrals_vs_closed_form():
     assert at_edges[-1] == 0.0
 
 
-def _reference_refine(breakpoints, singular=(), rel=DEFAULT_RATIO, coarse=8):
+def _reference_refine(breakpoints, singular=(), rel=PANEL_RATIO, coarse=8):
     """The panel layout one segment and one panel at a time."""
     breakpoints = np.asarray(breakpoints, dtype=float)
     out = [breakpoints[0]]
@@ -105,9 +105,10 @@ def _reference_refine(breakpoints, singular=(), rel=DEFAULT_RATIO, coarse=8):
     return np.array(out), counts
 
 
-def _assert_same_as_reference(*args, **kwargs):
-    pts, counts = refine_breakpoints(*args, **kwargs)
-    ref_pts, ref_counts = _reference_refine(*args, **kwargs)
+def _assert_same_as_reference(breakpoints, singular=(), coarse=8, rel=PANEL_RATIO):
+    """``rel`` must be the ``PANEL_RATIO`` that ``refine_breakpoints`` sees."""
+    pts, counts = refine_breakpoints(breakpoints, singular, coarse)
+    ref_pts, ref_counts = _reference_refine(breakpoints, singular, rel, coarse)
     assert np.array_equal(pts, ref_pts)
     assert np.array_equal(counts, ref_counts)
     assert counts.dtype == ref_counts.dtype
@@ -117,7 +118,7 @@ def _assert_same_as_reference(*args, **kwargs):
 @pytest.mark.parametrize("rel", [0.1, 0.2, 0.5])
 @pytest.mark.parametrize("segments", [1, LOCKSTEP_MIN - 1, LOCKSTEP_MIN,
                                       LOCKSTEP_MIN + 1, 4097])
-def test_refine_bit_identical_to_one_segment_at_a_time(segments, rel, coarse):
+def test_refine_bit_identical_to_one_segment_at_a_time(segments, rel, coarse, monkeypatch):
     # breakpoints on both sides of 0, a quarter of the segments zero-width,
     # singular points inside segments and one that starts a segment
     rng = np.random.default_rng([segments, coarse, int(10 * rel)])
@@ -125,8 +126,9 @@ def test_refine_bit_identical_to_one_segment_at_a_time(segments, rel, coarse):
     for i in rng.choice(segments, segments // 4, replace=False):
         bp[i + 1] = bp[i]
     singular = (0.0, math.pi, float(bp[segments // 2]))
-    _assert_same_as_reference(bp, singular, rel, coarse)
-    _assert_same_as_reference(bp, (), rel, coarse)
+    monkeypatch.setattr(quadrature, "PANEL_RATIO", rel)
+    _assert_same_as_reference(bp, singular, coarse, rel)
+    _assert_same_as_reference(bp, (), coarse, rel)
 
 
 def test_quotient_layout_bit_identical(monkeypatch):
@@ -144,3 +146,19 @@ def test_quotient_layout_bit_identical(monkeypatch):
     (args, kwargs), = calls
     assert len(args[0]) > 3000
     _assert_same_as_reference(*args, **kwargs)
+
+
+@pytest.mark.parametrize("a", [0.5, math.pi / 2, 2.0, 3.0])
+def test_a_k_b_k_layout_same_as_two_calls(a):
+    # A_k_B_k refines its head [guard_lo, 1/k] and body [1/k, guard_hi] in
+    # one call; for a > 1 the head then gets the body's larger scale
+    lo, hi = a * ENDPOINT_GUARD, a * (1.0 - ENDPOINT_GUARD)
+    for singular in ((0.0, a), (0.0, math.pi, a)):
+        for k in [*range(2, 130), 256, 1024, 4096, 16384]:
+            if 1.0 / k >= a:
+                continue
+            head, _ = refine_breakpoints([lo, 1.0 / k], singular)
+            body, _ = refine_breakpoints([1.0 / k, hi], singular)
+            pts, counts = refine_breakpoints([lo, 1.0 / k, hi], singular)
+            assert counts[0] == len(head) - 1
+            assert np.array_equal(pts, np.concatenate((head, body[1:])))

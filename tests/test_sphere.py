@@ -104,6 +104,18 @@ def _normal(x):
     return math.isfinite(x) and abs(x) >= sys.float_info.min
 
 
+class TestGeometryDimension:
+    def test_non_integer_n_rejected(self):
+        # a cap volume at n = 3.5 but rho from the n = 3 weight
+        with pytest.raises(ParameterError, match="integer"):
+            CapGeometry(3.5, HALF_PI)
+
+    @pytest.mark.parametrize("n", [3.0, np.int64(3)])
+    def test_integral_n_accepted(self, n):
+        geom = CapGeometry(n, HALF_PI)
+        assert geom == CapGeometry(3, HALF_PI) and type(geom.n) is int
+
+
 class TestCapVolumeClosedForm:
     @pytest.mark.parametrize("n", CAP_DIMS)
     def test_vs_mpmath(self, n):
@@ -302,6 +314,19 @@ class TestRearrangements:
         s = SampleSet(np.array([1.0]), np.array([1.0]))
         with pytest.raises(ParameterError):
             spherical_rearrangement(s, hemi)
+
+    def test_zero_weight_on_the_largest_value(self, hemi):
+        # the top layer holds no mass: its plateau has radius 0
+        s = SampleSet(np.array([3.0, 2.0, 1.0]), hemi.measure * np.array([0.0, 0.5, 0.5]))
+        star = spherical_rearrangement(s, hemi)
+        assert star.boundaries[0] == star.boundaries[1] == 0.0
+        assert_allclose(star.boundaries[2], inverse_cap_volume(3, 0.5 * hemi.measure))
+        for q in (1, 2, 3):
+            assert_allclose(star.moment(q), s.moment(q), rtol=1e-12)
+        assert_allclose(s.moment(2), 2.5 * math.pi**2, rtol=1e-15)
+        other = SampleSet(np.array([1.0, 2.0, 3.0]), s.weights)
+        lhs, rhs = check_hardy_littlewood(s, other, hemi)
+        assert_allclose((lhs, rhs), (3.5 * math.pi**2, 4.0 * math.pi**2), rtol=1e-12)
 
 
 class TestHardyLittlewood:

@@ -1,11 +1,13 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hardycap.errors import ParameterError
-from hardycap.weights import make_power_weight, make_sine_weight, validate_weight
+from hardycap.errors import NumericalError, ParameterError
+from hardycap.weights import Weight, make_power_weight, make_sine_weight, validate_weight
 
 
 class TestPowerWeight:
@@ -69,6 +71,27 @@ class TestSineWeight:
         with pytest.raises(ParameterError):
             make_sine_weight(3, 2.0, 4.0)  # a >= pi
 
+    @pytest.mark.parametrize("n", [3.9, 3.5, math.nan, math.inf, "3"])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(ParameterError, match="integer"):
+            make_sine_weight(n, 2.0, 1.0)
+
+    @pytest.mark.parametrize("n", [3.0, np.int64(3), np.float64(3.0)])
+    def test_integral_n_accepted(self, n):
+        w = make_sine_weight(n, 2.0, 1.0)
+        assert w == make_sine_weight(3, 2.0, 1.0)
+        assert type(w.n) is int
+
+
+class TestGrowthConstantsDerived:
+    def test_not_fields(self):
+        # c1 and c2 follow from the family; a Weight cannot contradict its phi
+        names = [f.name for f in dataclasses.fields(Weight)]
+        assert names == ["p", "a", "kind", "delta", "n"]
+        w = Weight(p=2.0, a=1.5, kind="sine", delta=1.0, n=3)
+        assert w.c1 == (math.sin(1.5) / 1.5) ** 2 and w.c2 == 1.0
+        assert w.c1 == make_sine_weight(3, 2.0, 1.5).c1
+
 
 class TestValidateWeight:
     @pytest.mark.parametrize("w", [
@@ -91,3 +114,18 @@ class TestValidateWeight:
         w = make_power_weight(2.0, 1.0, 1.0)
         with pytest.raises(ParameterError):
             validate_weight(w, grid_size=4)
+
+    def test_ratio_finite_where_the_power_underflows(self):
+        # t**199 underflows on the lower grid; phi/t**199 was nan there
+        w = make_sine_weight(200, 2.0, 3.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = validate_weight(w)
+        assert math.isfinite(rep.c1) and math.isfinite(rep.c2)
+        assert rep.c1 == 0.0 and 0.97 < rep.c2 < 0.98
+        assert not rep.positive_ok and not rep.all_ok
+
+    def test_power_underflowing_on_the_whole_grid(self):
+        # a**401 = 1e-401: no point of the grid gives a ratio
+        with pytest.raises(NumericalError, match="underflows"):
+            validate_weight(make_power_weight(2.0, 400.0, 0.1))
