@@ -10,6 +10,7 @@ All angles are radians.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -217,7 +218,10 @@ def _add_weight_args(sub):
     sub.add_argument("--delta", type=float, default=None)
 
 
+@functools.cache
 def build_parser():
+    """The CLI parser, built at the first call and shared after it
+    (``parse_args`` keeps no state between calls)."""
     parser = argparse.ArgumentParser(
         prog="hardycap",
         description="Sharp weighted Hardy inequalities: tables and verification.",

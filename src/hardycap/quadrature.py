@@ -10,10 +10,18 @@ vectorised in numpy.
 The panel edges of a segment are the same bits whether it is refined
 alone or together with any number of others, given the same scale (the
 floor on a panel width and the stopping slack grow with the outermost
-breakpoints).  The golden-section
-truncation point is built from one-segment integrals and moves by up to
-1.6e-8 under one-ulp changes in them, and perfbench/reference.json pins
-the quotients to 1e-9, so the layout may get faster but not move.
+breakpoints).  Two layouts are pinned bit for bit, with at least
+``coarse = 8`` panels per segment:
+
+* ``integrate`` (and so ``eta.tail_integral``): the golden-section
+  truncation point T is built from its one-segment integrals and moves by
+  up to 1.6e-8 under one-ulp changes in them;
+* ``hardy1d.A_k_B_k``: its panels next to the endpoint guard carry a
+  node-rounding artefact in B_k that perfbench/reference.json pins to 1e-9.
+
+``segment_integrals`` and the Hardy quotient take one panel per segment
+(``coarse = 1``), split further only towards the singular points; the
+quotient's segments are its grid cells, whose integrands are smooth.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import run_python
-from hardycap.cli import main
+from hardycap.cli import build_parser, main
 
 HALF_PI = "1.5707963267948966"
 
@@ -181,3 +181,36 @@ class TestOverflowingWeight:
         row = json.loads(capsys.readouterr().out)["rows"][0]
         assert math.isfinite(row["c1"]) and math.isfinite(row["c2"])
         assert row["positive_ok"] is False and row["all_ok"] is False
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call in a process."""
+
+    QUOTIENT = ["quotient", "--weight", "sine", "--n", "3", "--p", "2", "--a", HALF_PI,
+                "--function", "uk", "--k", "3", "--format", "json"]
+
+    @staticmethod
+    def _run(capsys, argv):
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_no_state_leaks_between_calls(self, capsys):
+        build_parser.cache_clear()
+        alone = self._run(capsys, self.QUOTIENT)
+        build_parser.cache_clear()
+        code, truncated = self._run(capsys, [*self.QUOTIENT, "--truncated"])
+        assert code == 0 and truncated != alone[1]
+        assert self._run(capsys, self.QUOTIENT) == alone
+
+    def test_usage_error_then_valid_call(self, capsys):
+        build_parser.cache_clear()
+        alone = self._run(capsys, self.QUOTIENT)
+        build_parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:
+            main(["quotient", "--weight", "sine", "--n", "3"])  # no --p, --a
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert self._run(capsys, self.QUOTIENT) == alone

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import IntegrationWarning, quad
 
+from hardycap import hardy1d
 from hardycap.errors import DegenerateInputError, ParameterError
 from hardycap.eta import ENDPOINT_GUARD, find_truncation_point
 from hardycap.hardy1d import (
@@ -19,6 +20,7 @@ from hardycap.hardy1d import (
     hardy_quotient,
     sharp_constant,
 )
+from hardycap.quadrature import refine_breakpoints
 from hardycap.weights import make_power_weight, make_sine_weight
 
 HALF_PI = math.pi / 2
@@ -98,24 +100,31 @@ class TestHatOracle:
             hardy_quotient(w, prof_sine, u)
 
 
-def _quad_quotient(p, eta, nodes, values, head):
-    """Quotient of a piecewise-linear u on the power weight phi = t against
-    ``eta``: |u'|^p t in closed form and |u|^p eta^p t by ``quad`` per cell,
-    plus ``head``, the denominator before ``nodes[0]``.  Both integrals stop
-    at the endpoint guard, as the library's do: for an extremal U_k the last
-    cell alone carries about 1e-3 of them per 1e-12 of its width."""
+def _quad_quotient(p, eta, nodes, values, head, g=1.0, kinks=()):
+    """Quotient of a piecewise-linear u on the power weight phi = t**g
+    against ``eta``: |u'|^p phi in closed form and |u|^p eta^p phi by
+    ``quad`` per cell, split at a sign change of u and at the ``kinks`` of
+    eta, plus ``head``, the denominator before ``nodes[0]``.  Both integrals
+    stop at the endpoint guard, as the library's do: for an extremal U_k
+    the last cell alone carries about 1e-3 of them per 1e-12 of its width."""
     end = nodes[-1] * (1.0 - ENDPOINT_GUARD)
     numerator, denominator = 0.0, head
     for lo, hi, v0, v1 in zip(nodes[:-1], nodes[1:], values[:-1], values[1:]):
         top = min(hi, end)
-        # (top - lo) * (top + lo): the cells next to a are about 1e-9 wide
-        numerator += abs((v1 - v0) / (hi - lo)) ** p * (top - lo) * (top + lo) / 2.0
+        # lo**(g+1) * ((top/lo)**(g+1) - 1): the cells next to a are about
+        # 1e-9 wide
+        numerator += (abs((v1 - v0) / (hi - lo)) ** p * lo ** (g + 1.0)
+                      * math.expm1((g + 1.0) * math.log1p((top - lo) / lo)) / (g + 1.0))
         # written so that u does not cancel next to a zero at hi
         u = lambda t: (v0 * (hi - t) + v1 * (t - lo)) / (hi - lo)  # noqa: E731
+        points = [s for s in kinks if lo < s < top]
+        if v0 * v1 < 0.0:
+            points.append(lo + (hi - lo) * v0 / (v0 - v1))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IntegrationWarning)
-            denominator += quad(lambda t: abs(u(t) * eta(t)) ** p * t, lo, top,
-                                epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            denominator += quad(lambda t: abs(u(t) * eta(t)) ** p * t**g, lo, top,
+                                points=points or None, epsabs=0.0, epsrel=1e-13,
+                                limit=200)[0]
     return numerator / denominator
 
 
@@ -162,6 +171,60 @@ class TestGridPastT:
                                       u.nodes, u.values, head)
         assert_allclose(hardy_quotient(w, prof, u, truncated=truncated).quotient,
                         expected, rtol=1e-10)
+
+
+class TestSignChangingGrids:
+    """Grid functions that change sign inside cells, on power weights,
+    against closed-form I and per-cell ``quad``.  |u|**p is only C**p at a
+    root: with eight Gauss panels per cell and none ending at the root these
+    quotients are off by up to 3.6e-6 for p = 1.2.  The quotient makes each
+    root a panel edge, with panels graded towards it."""
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.5])
+    @pytest.mark.parametrize("truncated", [False, True])
+    def test_against_quad(self, p, truncated):
+        rng = np.random.default_rng([int(10 * p), truncated])
+        for delta, a in ((0.5, 1.0), (1.0, 2.0)):
+            w = make_power_weight(p, delta, a)
+            prof = find_truncation_point(w)
+            # phi = t**g, I(t) = (t**-e - a**-e)/e, T = a (1+e)**(-1/e)
+            g, e = p - 1.0 + delta, delta / (p - 1.0)
+            T = a * (1.0 + e) ** (-1.0 / e)
+
+            def eta(t, e=e, a=a, T=T):
+                t = min(t, T) if truncated else t
+                return t ** -(1.0 + e) / ((t**-e - a**-e) / e)
+
+            for _ in range(6):
+                cells = rng.integers(3, 7)
+                nodes = np.append(np.sort(rng.uniform(0.05 * a, 0.95 * a, cells)), a)
+                values = rng.uniform(0.1, 1.0, cells + 1) * rng.choice((-1.0, 1.0), cells + 1)
+                values[1] = -values[0]  # at least one sign change
+                values[-1] = 0.0
+                # the head [0, t0]: primitive I**(1-p)/(p-1) of eta**p phi up to
+                # min(t0, T), then eta_T**p phi
+                t0 = nodes[0]
+                s0 = min(t0, T) if truncated else t0
+                head = ((s0**-e - a**-e) / e) ** (1.0 - p) / (p - 1.0)
+                head += eta(T) ** p * (t0 ** (g + 1.0) - s0 ** (g + 1.0)) / (g + 1.0)
+                head *= abs(values[0]) ** p
+                expected = _quad_quotient(p, eta, nodes, values, head, g, (T,))
+                rep = hardy_quotient(w, prof, GridFunction(nodes, values), truncated)
+                assert_allclose(rep.quotient, expected, rtol=1e-7)
+
+    def test_v_4096_layout_one_panel_per_cell(self, sine32, monkeypatch):
+        # about 32k panels when every cell was split into at least 8
+        w, prof = sine32
+        panels = []
+
+        def recording(*args, **kwargs):
+            pts, counts = refine_breakpoints(*args, **kwargs)
+            panels.append(len(pts) - 1)
+            return pts, counts
+
+        monkeypatch.setattr(hardy1d, "refine_breakpoints", recording)
+        hardy_quotient(w, prof, extremal_V_k(w, prof, 4096), truncated=True)
+        assert len(panels) == 1 and panels[0] < 5000
 
 
 class TestTruncatedDomination:
@@ -257,7 +320,7 @@ class TestNodeTails:
     def test_closed_form_at_every_node(self, make, args, closed):
         w = make(*args)
         prof = find_truncation_point(w)
-        pts = _quotient_edges(prof, extremal_V_k(w, prof, 4096).nodes)
+        pts = _quotient_edges(prof, extremal_V_k(w, prof, 4096))
         x, _, _, _, tails, edge_tails = _sweep(w, pts)
         assert np.any(w.a - x < 1e-11 * w.a)  # nodes right next to a are covered
         assert_allclose(tails, closed(x, w.a), rtol=1e-12)
@@ -281,16 +344,18 @@ class TestNodeTails:
 
 class TestQuotientPinned:
     """Numerator and denominator of extremal quotients, pinned to the values
-    of the per-node implementation (each Gauss node's own grid cell, phi
-    evaluated twice); the quotient takes one cell per panel and one phi."""
+    of the one-panel-per-cell layout.  Against closed-form cell integrals
+    and ``quad`` (up to the endpoint guard) the numerators agree to 7.4e-13
+    and the denominators to 2.7e-11; the U_16 denominators carry the
+    rounding noise of the Gauss nodes in the cells next to a."""
 
     @pytest.mark.parametrize("make,args,u_16,v_4096", [
         (make_sine_weight, (3, 2.0, HALF_PI),
-         (6.3683250444529635, 23.473879867780774),
-         (3.8275698383795813, 9.630035157762709)),
+         (6.368325044452964, 23.47387986840375),
+         (3.8275698383795813, 9.630035157762673)),
         (make_power_weight, (2.5, 0.5, 1.0),
-         (6.770845754565012, 22.36197991289108),
-         (3.1706185247025767, 4.823771885441414)),
+         (6.770845754565013, 22.36197991376202),
+         (3.170618524702577, 4.823771885441397)),
     ])
     def test_numerator_and_denominator(self, make, args, u_16, v_4096):
         w = make(*args)

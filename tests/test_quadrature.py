@@ -132,7 +132,7 @@ def test_refine_bit_identical_to_one_segment_at_a_time(segments, rel, coarse, mo
 
 
 def test_quotient_layout_bit_identical(monkeypatch):
-    # the panels of a V_4096 quotient: about 32k panels from 3.8k segments
+    # the panels of a V_4096 quotient: about 3.9k panels from 3.8k segments
     calls = []
 
     def recording(*args, **kwargs):
