@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ParameterError
+from .errors import DomainError, NumericalError
 from .quadrature import integrate, segment_integrals
-from .weights import Weight, validate_weight
+from .weights import Weight
 
 #: eta is never evaluated closer to an endpoint than this fraction of a
 ENDPOINT_GUARD = 1e-12
@@ -33,7 +33,9 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio reciprocal
 
 def _check_interior(w, t):
     t = np.asarray(t, dtype=float)
-    if np.any(t < w.a * ENDPOINT_GUARD) or np.any(t > w.a * (1.0 - ENDPOINT_GUARD)):
+    # isfinite first: no NaN reaches a comparison
+    if (not np.all(np.isfinite(t)) or np.any(t < w.a * ENDPOINT_GUARD)
+            or np.any(t > w.a * (1.0 - ENDPOINT_GUARD))):
         raise DomainError(
             f"t must lie in ({w.a * ENDPOINT_GUARD:.3e}, {w.a * (1 - ENDPOINT_GUARD):.6g})"
         )
@@ -125,8 +127,8 @@ def riccati_residual(w, t, h):
     """
     if not (0.0 < t - h and t + h < w.a):
         raise DomainError(f"t +- h must lie inside (0, {w.a})")
-    e0 = eta(w, t)
-    d = (eta(w, t + h) - eta(w, t - h)) / (2.0 * h)
+    lo, e0, hi = eta_many(w, [t - h, t, t + h]).tolist()
+    d = (hi - lo) / (2.0 * h)
     phi_t = float(w.phi(t))
     dphi_t = float(w.dphi(t))
     return abs(e0 * dphi_t / phi_t + (w.p - 1.0) * d - (w.p - 1.0) * e0**2)
@@ -146,11 +148,10 @@ def find_truncation_point(w):
 
     Brackets the minimum on a geometric sample grid of ``BRACKET_GRID``
     points, then refines by golden-section search to absolute tolerance
-    ``GOLDEN_TOL`` in t.
+    ``GOLDEN_TOL`` in t.  The minimiser is unique because every ``Weight``
+    is log-concave in closed form: ``(log phi)'' = -(p-1+delta)/t**2``
+    (power) or ``-(n-1)/sin(t)**2`` (sine), negative on (0, a].
     """
-    report = validate_weight(w)
-    if not report.log_concave_ok:
-        raise ParameterError("weight fails the log-concavity check; no unique minimiser")
     grid = w.a * np.geomspace(1e-6, 1.0 - 1e-6, BRACKET_GRID)
     vals = eta_many(w, grid)
     i = int(np.argmin(vals))
@@ -185,7 +186,10 @@ def eta_truncated(prof, t):
 
 
 def eta_truncated_many(prof, ts):
+    """Vectorised ``eta_truncated``; points past a take the plateau value."""
     ts = np.asarray(ts, dtype=float)
+    if not np.all(np.isfinite(ts)):
+        raise DomainError(f"t must be finite, got {float(ts[~np.isfinite(ts)][0])!r}")
     out = np.full(ts.shape, prof.eta_at_T)
     below = ts <= prof.T
     if np.any(below):

@@ -21,12 +21,14 @@ from .errors import DegenerateInputError, DomainError, ParameterError
 from .eta import ENDPOINT_GUARD, tail_integral, tail_integrals
 from .quadrature import node_tail_integrals, panel_nodes, refine_breakpoints
 
-DEFAULT_GRID_SIZE = 4096
+#: nodes of the sampled extremal sequence elements
+GRID_SIZE = 4096
 #: relative depth of geometric node clustering at sequence breakpoints
 CLUSTER_DEPTH = 1e-8
 #: quotient panel edges at these fractions of the way from a root of u to
-#: both ends of its cell: |u|**p is only C**p at the root, and a 16-node
-#: Gauss panel that ends there loses 4.5e-7 relative for p = 1.2
+#: both ends of its cell (both neighbouring nodes, for a root at a node):
+#: |u|**p is only C**p at the root, and a 16-node Gauss panel that ends
+#: there loses 4.5e-7 relative for p = 1.2
 ROOT_GRADING = np.array([0.0, 0.0625, 0.25])
 
 
@@ -108,18 +110,25 @@ def _quotient_edges(prof, u):
     """Panel edges of the quotient's quadrature over a grid's support.
 
     One panel per grid cell, refined only towards the singular points:
-    u is linear on a cell, so the integrands are smooth there except
-    where u changes sign.  Such a root is a breakpoint too, so the kink
-    of |u|**p falls on a panel edge, with edges graded towards it.
+    u is linear on a cell, so the integrands are smooth there except at
+    a root of u, where |u|**p is only C**p.  Panel edges are graded
+    towards every root next to a nonzero value: a sign change inside a
+    cell, or an interior node where u is exactly 0.
     """
     a = prof.weight.a
     guard_lo = a * ENDPOINT_GUARD
     guard_hi = a * (1.0 - ENDPOINT_GUARD)
     nodes, values = u.nodes, u.values
-    # the cells where u changes sign, their root and the edges graded to it
-    i = np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0.0)
-    lo, hi, v0, v1 = nodes[i, None], nodes[i + 1, None], values[i, None], values[i + 1, None]
-    root = lo + (hi - lo) * (v0 / (v0 - v1))
+    sign = np.sign(values)
+    # the cells i where u changes sign, and the interior zero nodes j next
+    # to a nonzero value; the roots, their neighbouring nodes and the edges
+    # graded towards them
+    i = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+    j = 1 + np.flatnonzero((sign[1:-1] == 0.0) & ((sign[:-2] != 0.0) | (sign[2:] != 0.0)))
+    v0, v1 = values[i], values[i + 1]
+    root = np.concatenate((nodes[i] + (nodes[i + 1] - nodes[i]) * (v0 / (v0 - v1)),
+                           nodes[j]))[:, None]
+    lo, hi = nodes[np.concatenate((i, j - 1)), None], nodes[np.concatenate((i + 1, j + 1)), None]
     near_roots = np.concatenate((root - (root - lo) * ROOT_GRADING,
                                  root + (hi - root) * ROOT_GRADING), axis=None)
     # interior breakpoints: the nodes, T (kink of eta_T), guards
@@ -182,7 +191,7 @@ def _clustered_nodes(lo, hi, size):
     return np.unique(np.concatenate(([lo], left, right, [hi])))
 
 
-def extremal_U_k(w, k, grid_size=DEFAULT_GRID_SIZE):
+def extremal_U_k(w, k):
     """The extremal sequence element U_k, sampled as a grid function.
 
     U_k is the constant I(1/k)**((p-1)/p) on [0, 1/k] and I(t)**((p-1)/p)
@@ -193,13 +202,13 @@ def extremal_U_k(w, k, grid_size=DEFAULT_GRID_SIZE):
     s = 1.0 / k
     if s >= w.a:
         raise DomainError(f"1/k = {s} must be smaller than a = {w.a}")
-    nodes = _clustered_nodes(s, w.a, grid_size)
+    nodes = _clustered_nodes(s, w.a, GRID_SIZE)
     tails = tail_integrals(w, nodes[:-1])
     values = np.append(tails ** ((w.p - 1.0) / w.p), 0.0)
     return GridFunction(nodes, values)
 
 
-def extremal_V_k(w, prof, k, grid_size=DEFAULT_GRID_SIZE):
+def extremal_V_k(w, prof, k):
     """The truncated-weight extremal element: U_k up to T, then a linear
     ramp to zero at (a+T)/2, zero afterwards.
 
@@ -223,10 +232,9 @@ def extremal_V_k(w, prof, k, grid_size=DEFAULT_GRID_SIZE):
     if s >= T:
         raise DomainError(f"1/k = {s} must be smaller than T = {T}")
     ramp_end = 0.5 * (a + T)
-    n_body = (3 * grid_size) // 4
-    body = _clustered_nodes(s, T, n_body)
-    ramp = np.linspace(T, ramp_end, max(grid_size // 8, 8))
-    tail = np.linspace(ramp_end, a, max(grid_size // 16, 4))
+    body = _clustered_nodes(s, T, (3 * GRID_SIZE) // 4)
+    ramp = np.linspace(T, ramp_end, GRID_SIZE // 8)
+    tail = np.linspace(ramp_end, a, GRID_SIZE // 16)
     nodes = np.unique(np.concatenate((body, ramp, tail)))
 
     values = np.zeros_like(nodes)
@@ -265,7 +273,7 @@ def A_k_B_k(w, k):
     return a_k, b_k
 
 
-def convergence_study(w, prof, ks, truncated=False, grid_size=DEFAULT_GRID_SIZE):
+def convergence_study(w, prof, ks, truncated=False):
     """Quotients of the extremal sequence for each k, sorted by k.
 
     Returns a list of ``(k, quotient, margin)`` tuples.  Margins trend to
@@ -274,11 +282,11 @@ def convergence_study(w, prof, ks, truncated=False, grid_size=DEFAULT_GRID_SIZE)
     (E - c*(1/(p-1) + D)) / (L_k + 1/(p-1) + D) with
     L_k = log(I(1/k)/I(T)) and k-independent ramp terms E, D (see
     ``extremal_V_k``); the grid reproduces it up to a sampling error that
-    falls like grid_size**-2.
+    falls like GRID_SIZE**-2.
     """
     rows = []
     for k in sorted(ks):
-        u = extremal_V_k(w, prof, k, grid_size) if truncated else extremal_U_k(w, k, grid_size)
+        u = extremal_V_k(w, prof, k) if truncated else extremal_U_k(w, k)
         rep = hardy_quotient(w, prof, u, truncated=truncated)
         rows.append((k, rep.quotient, rep.margin))
     return rows

@@ -29,6 +29,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import legendre
 
+from .errors import DomainError
+
 GL_NODES, GL_WEIGHTS = legendre.leggauss(16)
 
 
@@ -76,6 +78,7 @@ def refine_breakpoints(breakpoints, singular=(), coarse=8):
     distance to every point in ``singular`` and at most ``1/coarse`` of the
     segment it came from.  Returns ``(points, counts)`` where ``counts[i]``
     is the number of panels the i-th input segment was split into.
+    Raises ``DomainError`` on a breakpoint that is not finite.
 
     Every unfinished segment advances one panel per numpy step, and the
     last ``LOCKSTEP_MIN - 1`` or fewer are finished one panel at a time in
@@ -85,6 +88,10 @@ def refine_breakpoints(breakpoints, singular=(), coarse=8):
     (see the module docstring for why that matters).
     """
     breakpoints = np.asarray(breakpoints, dtype=float)
+    finite = np.isfinite(breakpoints)
+    if not finite.all():
+        # a NaN or infinite edge would never reach its stop
+        raise DomainError(f"breakpoints must be finite, got {float(breakpoints[~finite][0])!r}")
     lo, hi = breakpoints[:-1], breakpoints[1:]
     scale = float(max(abs(breakpoints[0]), abs(breakpoints[-1]), 1.0))
     floor = 1e-15 * scale

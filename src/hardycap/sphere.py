@@ -289,7 +289,7 @@ def rho_many(geom, p, thetas):
     if not 1.0 < p < n:
         raise DomainError(f"p must satisfy 1 < p < n, got p={p}, n={n}")
     thetas = np.asarray(thetas, dtype=float)
-    if np.any(thetas <= 0.0) or np.any(thetas > math.pi):
+    if not np.all(np.isfinite(thetas)) or np.any(thetas <= 0.0) or np.any(thetas > math.pi):
         raise DomainError("theta must lie in (0, pi]")
     _, prof = _cap_eta_profile(n, p, geom.a_star)
     # T < a_star, so eta_truncated_many is already on its plateau outside the cap
@@ -337,11 +337,11 @@ def verify_sphere_theorem(geom, p, u):
     )
 
 
-def extremal_V_hat_k(geom, p, k, grid_size=4096):
+def extremal_V_hat_k(geom, p, k):
     """The cap sharpness sequence: constant head, tail-integral body up to
     the truncation angle, linear ramp to zero, zero tail."""
     w, prof = _cap_eta_profile(geom.n, p, geom.a_star)
-    grid = extremal_V_k(w, prof, k, grid_size)
+    grid = extremal_V_k(w, prof, k)
     return SphericalProfile(geometry=geom, grid=grid)
 
 

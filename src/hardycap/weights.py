@@ -19,6 +19,8 @@ from .errors import NumericalError, ParameterError
 
 POWER = "power"
 SINE = "sine"
+#: sample points of the ``validate_weight`` diagnostic
+VALIDATION_GRID = 1024
 
 
 @dataclass(frozen=True)
@@ -29,6 +31,12 @@ class Weight:
     Its constants ``c1`` and ``c2`` are derived from the family, not
     stored, so they always agree with ``phi``: 1 for the power family, the
     extrema of ``phi(t) / t**(p-1+delta)`` on (0, a] for the sine family.
+
+    Construction checks admissibility and raises ``ParameterError``
+    otherwise: p > 1, delta > 0 and a > 0 for the power family, an integer
+    n >= 2, 1 < p < n and 0 < a < pi for the sine family, and finite p, a
+    and delta.  Both families are then log-concave on (0, a] in closed
+    form (see ``log_phi_dd``).
     """
 
     p: float
@@ -36,6 +44,30 @@ class Weight:
     kind: str
     delta: float
     n: int = 0  # sine family only
+
+    def __post_init__(self):
+        p, a = self.p, self.a
+        if self.kind == POWER:
+            if not p > 1:
+                raise ParameterError(f"p must be > 1, got {p}")
+            if not self.delta > 0:
+                raise ParameterError(f"delta must be > 0, got {self.delta}")
+            if not a > 0:
+                raise ParameterError(f"a must be > 0, got {a}")
+        elif self.kind == SINE:
+            n = _dimension(self.n)
+            if not 1 < p < n:
+                raise ParameterError(f"p must satisfy 1 < p < n, got p={p}, n={n}")
+            if not 0 < a < math.pi:
+                raise ParameterError(f"a must lie in (0, pi), got {a}")
+            object.__setattr__(self, "n", n)
+        else:
+            raise ParameterError(f"kind must be {POWER!r} or {SINE!r}, got {self.kind!r}")
+        for name in ("p", "a", "delta"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
 
     @property
     def c1(self):
@@ -87,13 +119,7 @@ class Weight:
 
 def make_power_weight(p, delta, a):
     """Weight ``phi(t) = t**(p-1+delta)``."""
-    if not p > 1:
-        raise ParameterError(f"p must be > 1, got {p}")
-    if not delta > 0:
-        raise ParameterError(f"delta must be > 0, got {delta}")
-    if not a > 0:
-        raise ParameterError(f"a must be > 0, got {a}")
-    return Weight(p=float(p), a=float(a), kind=POWER, delta=float(delta))
+    return Weight(p=p, a=a, kind=POWER, delta=delta)
 
 
 def _dimension(n):
@@ -110,12 +136,8 @@ def _dimension(n):
 
 def make_sine_weight(n, p, a):
     """Weight ``phi(t) = sin(t)**(n-1)`` on (0, a), a < pi, with 1 < p < n."""
-    n = _dimension(n)
-    if not 1 < p < n:
-        raise ParameterError(f"p must satisfy 1 < p < n, got p={p}, n={n}")
-    if not 0 < a < math.pi:
-        raise ParameterError(f"a must lie in (0, pi), got {a}")
-    return Weight(p=float(p), a=float(a), kind=SINE, delta=float(n - p), n=n)
+    n = _dimension(n)  # so that n = "3" is refused as not an integer, not by n - p
+    return Weight(p=p, a=a, kind=SINE, delta=n - p, n=n)
 
 
 @dataclass(frozen=True)
@@ -133,11 +155,10 @@ class ValidationReport:
         return self.boundary_ok and self.positive_ok and self.log_concave_ok and self.growth_ok
 
 
-def validate_weight(w, grid_size=1024):
-    """Check the structural assumptions of a weight on an interior sample grid."""
-    if grid_size < 16:
-        raise ParameterError(f"grid_size must be >= 16, got {grid_size}")
-    grid = w.a * np.geomspace(1e-10, 1.0, grid_size)
+def validate_weight(w):
+    """Check the structural assumptions of a weight on ``VALIDATION_GRID``
+    interior sample points."""
+    grid = w.a * np.geomspace(1e-10, 1.0, VALIDATION_GRID)
     vals = w.phi(grid)
     # phi(0) = 0 and phi rising away from 0, whatever the growth exponent
     boundary_ok = bool(w.phi(0.0) == 0.0 and np.all(np.diff(vals[:16]) > 0.0))
@@ -161,5 +182,5 @@ def validate_weight(w, grid_size=1024):
         growth_ok=growth_ok,
         c1=float(ratio.min()),
         c2=float(ratio.max()),
-        grid_size=grid_size,
+        grid_size=VALIDATION_GRID,
     )

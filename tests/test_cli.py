@@ -79,6 +79,16 @@ class TestExitCodes:
         proc = run_cli("integrability", "--n", "3", "--p", "2", "--a", "1.0")
         assert proc.returncode == 0
 
+    @pytest.mark.parametrize("command,flags", [
+        ("eta-table", ("--p", "inf", "--delta", "1", "--a", "1")),
+        ("find-T", ("--p", "2", "--delta", "1", "--a", "inf")),
+    ])
+    def test_non_finite_weight_exits_2(self, command, flags, capsys):
+        # p = inf printed nan eta bounds with exit 0; the weight is refused
+        assert main([command, "--weight", "power", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be finite" in captured.err
+
 
 class TestOutputFile:
     def test_out_flag_writes_file(self, tmp_path):

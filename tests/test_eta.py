@@ -145,6 +145,25 @@ class TestNotFinite:
             find_truncation_point(make(*args))
 
 
+class TestNonFiniteInput:
+    """A NaN point raises instead of hanging the quadrature or returning
+    the plateau value."""
+
+    def test_eta_many(self, sine32):
+        with pytest.raises(DomainError):
+            eta_many(sine32, [0.5, math.nan])
+
+    def test_tail_integrals(self, sine32):
+        with pytest.raises(DomainError, match="finite"):
+            tail_integrals(sine32, [math.nan])
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_eta_truncated_many(self, sine32, t):
+        prof = find_truncation_point(sine32)
+        with pytest.raises(DomainError, match="finite"):
+            eta_truncated_many(prof, [1.0, t])
+
+
 class TestRiccati:
     @pytest.mark.parametrize("w", [
         make_power_weight(2.0, 1.0, 1.0),

@@ -62,6 +62,8 @@ class TestZeta:
             zeta(3, 2.0, 2.0)
         with pytest.raises(DomainError):
             zeta(3, 2.0, 0.0)
+        with pytest.raises(DomainError):
+            zeta(3, 2.0, math.nan)
 
 
 class TestVerifyHalfspace:

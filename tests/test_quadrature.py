@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from hardycap import hardy1d, quadrature
+from hardycap.errors import DomainError
 from hardycap.eta import ENDPOINT_GUARD, find_truncation_point
 from hardycap.quadrature import (
     GL_NODES,
@@ -52,6 +53,20 @@ def test_segment_integrals_sum_to_total():
     seg = segment_integrals(f, bp)
     assert len(seg) == 4
     assert_allclose(seg.sum(), integrate(f, 0.1, 1.0), rtol=1e-13)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: refine_breakpoints([math.nan, 1.0]),
+    lambda: refine_breakpoints(np.linspace(0.0, 1.0, 20).tolist() + [math.inf]),
+    lambda: integrate(np.exp, -math.inf, 1.0),
+    lambda: integrate(np.exp, 0.0, math.nan),
+    lambda: segment_integrals(np.exp, [0.0, math.nan, 1.0]),
+], ids=["refine", "refine-lockstep", "integrate", "integrate-nan", "segment-integrals"])
+def test_non_finite_breakpoint_raises(call):
+    # a non-finite edge never reaches its stop: the panel march used to run
+    # until memory ran out
+    with pytest.raises(DomainError, match="finite"):
+        call()
 
 
 def test_panel_nodes_increasing():

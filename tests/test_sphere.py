@@ -243,6 +243,14 @@ class TestRho:
             rho_star(hemi, 3.5, 0.5)  # p >= n
 
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf])
+    def test_non_finite_theta(self, hemi, theta):
+        # NaN used to pass the range check and get the plateau value
+        with pytest.raises(DomainError):
+            rho_many(hemi, 2.0, [0.5, theta])
+        with pytest.raises(DomainError):
+            rho_star(hemi, 2.0, theta)
+
 def _random_sample_set(rng, geom, size=40):
     weights = rng.uniform(0.2, 1.0, size)
     weights *= geom.measure / weights.sum()

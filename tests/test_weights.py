@@ -83,6 +83,48 @@ class TestSineWeight:
         assert type(w.n) is int
 
 
+class TestConstructionChecks:
+    """``Weight`` checks admissibility itself, so a directly built weight
+    meets the same checks as one from ``make_power_weight``/``make_sine_weight``."""
+
+    @pytest.mark.parametrize("kwargs,match", [
+        (dict(p=1.0, a=1.0, kind="power", delta=1.0), "p must be > 1"),
+        (dict(p=2.0, a=1.0, kind="power", delta=0.0), "delta must be > 0"),
+        (dict(p=2.0, a=-1.0, kind="power", delta=1.0), "a must be > 0"),
+        (dict(p=2.0, a=1.0, kind="sine", delta=1.0, n=3.5), "integer"),
+        (dict(p=3.0, a=1.0, kind="sine", delta=0.0, n=3), "1 < p < n"),
+        (dict(p=2.0, a=4.0, kind="sine", delta=1.0, n=3), "a must lie in"),
+        (dict(p=2.0, a=1.0, kind="cosine", delta=1.0), "kind must be"),
+    ])
+    def test_direct_construction_checked(self, kwargs, match):
+        with pytest.raises(ParameterError, match=match):
+            Weight(**kwargs)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(p=math.inf, a=1.0, kind="power", delta=1.0), "p"),
+        (dict(p=2.0, a=math.inf, kind="power", delta=1.0), "a"),
+        (dict(p=2.0, a=1.0, kind="power", delta=math.inf), "delta"),
+        (dict(p=2.0, a=1.0, kind="sine", delta=math.inf, n=3), "delta"),
+    ])
+    def test_non_finite_rejected(self, kwargs, name):
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            Weight(**kwargs)
+
+    @pytest.mark.parametrize("p,delta,a", [
+        (math.inf, 1.0, 1.0), (2.0, math.inf, 1.0), (2.0, 1.0, math.inf), (math.nan, 1.0, 1.0),
+    ])
+    def test_make_power_weight_non_finite(self, p, delta, a):
+        with pytest.raises(ParameterError):
+            make_power_weight(p, delta, a)
+
+    def test_fields_normalised(self):
+        # ints become floats and an integral float n an int, as from the makers
+        w = Weight(p=2, a=1, kind="sine", delta=1, n=3.0)
+        assert w == make_sine_weight(3, 2, 1)
+        assert type(w.p) is float and type(w.delta) is float and type(w.n) is int
+        assert Weight(p=2, a=1, kind="power", delta=1) == make_power_weight(2.0, 1.0, 1.0)
+
+
 class TestGrowthConstantsDerived:
     def test_not_fields(self):
         # c1 and c2 follow from the family; a Weight cannot contradict its phi
@@ -109,11 +151,6 @@ class TestValidateWeight:
         assert rep.all_ok
         assert rep.boundary_ok and rep.positive_ok
         assert rep.log_concave_ok and rep.growth_ok
-
-    def test_grid_size_guard(self):
-        w = make_power_weight(2.0, 1.0, 1.0)
-        with pytest.raises(ParameterError):
-            validate_weight(w, grid_size=4)
 
     def test_ratio_finite_where_the_power_underflows(self):
         # t**199 underflows on the lower grid; phi/t**199 was nan there
