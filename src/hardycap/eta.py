@@ -34,8 +34,8 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio reciprocal
 def _check_interior(w, t):
     t = np.asarray(t, dtype=float)
     # isfinite first: no NaN reaches a comparison
-    if (not np.all(np.isfinite(t)) or np.any(t < w.a * ENDPOINT_GUARD)
-            or np.any(t > w.a * (1.0 - ENDPOINT_GUARD))):
+    if not (np.isfinite(t).all() and (t >= w.a * ENDPOINT_GUARD).all()
+            and (t <= w.a * (1.0 - ENDPOINT_GUARD)).all()):
         raise DomainError(
             f"t must lie in ({w.a * ENDPOINT_GUARD:.3e}, {w.a * (1 - ENDPOINT_GUARD):.6g})"
         )
@@ -188,8 +188,9 @@ def eta_truncated(prof, t):
 def eta_truncated_many(prof, ts):
     """Vectorised ``eta_truncated``; points past a take the plateau value."""
     ts = np.asarray(ts, dtype=float)
-    if not np.all(np.isfinite(ts)):
-        raise DomainError(f"t must be finite, got {float(ts[~np.isfinite(ts)][0])!r}")
+    finite = np.isfinite(ts)
+    if not finite.all():
+        raise DomainError(f"t must be finite, got {float(ts[~finite][0])!r}")
     out = np.full(ts.shape, prof.eta_at_T)
     below = ts <= prof.T
     if np.any(below):

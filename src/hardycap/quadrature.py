@@ -26,6 +26,8 @@ quotient's segments are its grid cells, whose integrands are smooth.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.polynomial import legendre
 
@@ -78,7 +80,8 @@ def refine_breakpoints(breakpoints, singular=(), coarse=8):
     distance to every point in ``singular`` and at most ``1/coarse`` of the
     segment it came from.  Returns ``(points, counts)`` where ``counts[i]``
     is the number of panels the i-th input segment was split into.
-    Raises ``DomainError`` on a breakpoint that is not finite.
+    Raises ``DomainError`` on a breakpoint or singular point that is not
+    finite.
 
     Every unfinished segment advances one panel per numpy step, and the
     last ``LOCKSTEP_MIN - 1`` or fewer are finished one panel at a time in
@@ -88,10 +91,10 @@ def refine_breakpoints(breakpoints, singular=(), coarse=8):
     (see the module docstring for why that matters).
     """
     breakpoints = np.asarray(breakpoints, dtype=float)
-    finite = np.isfinite(breakpoints)
-    if not finite.all():
-        # a NaN or infinite edge would never reach its stop
-        raise DomainError(f"breakpoints must be finite, got {float(breakpoints[~finite][0])!r}")
+    # a NaN or infinite edge, or a NaN panel width, would never reach its stop
+    if not (np.isfinite(breakpoints).all() and all(map(math.isfinite, singular))):
+        bad = next(x for x in (*breakpoints.tolist(), *singular) if not math.isfinite(x))
+        raise DomainError(f"breakpoints and singular points must be finite, got {float(bad)!r}")
     lo, hi = breakpoints[:-1], breakpoints[1:]
     scale = float(max(abs(breakpoints[0]), abs(breakpoints[-1]), 1.0))
     floor = 1e-15 * scale

@@ -289,7 +289,7 @@ def rho_many(geom, p, thetas):
     if not 1.0 < p < n:
         raise DomainError(f"p must satisfy 1 < p < n, got p={p}, n={n}")
     thetas = np.asarray(thetas, dtype=float)
-    if not np.all(np.isfinite(thetas)) or np.any(thetas <= 0.0) or np.any(thetas > math.pi):
+    if not (np.isfinite(thetas).all() and (thetas > 0.0).all() and (thetas <= math.pi).all()):
         raise DomainError("theta must lie in (0, pi]")
     _, prof = _cap_eta_profile(n, p, geom.a_star)
     # T < a_star, so eta_truncated_many is already on its plateau outside the cap

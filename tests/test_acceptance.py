@@ -60,7 +60,7 @@ V_D = quad(
     V_T, V_RAMP_END,
 )[0]
 V_EXCESS = V_E - V_C * (1 + V_D)
-#: the piecewise-linear grid (grid_size 4096) reproduces q(k) to < 1e-5
+#: the piecewise-linear grid (hardy1d.GRID_SIZE = 4096 nodes) reproduces q(k) to < 1e-5
 V_RTOL = 5e-5
 
 

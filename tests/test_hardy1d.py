@@ -237,7 +237,7 @@ class TestZeroValuedNodes:
     """An interior node where u is exactly 0 next to a nonzero value is a
     root of u at a cell end: |u|**p is only C**p there, so the panels are
     graded towards it as towards a sign change.  Without the grading these
-    quotients are off by up to 1.0e-8 for p = 1.2."""
+    quotients are off by up to 1.1e-8 for p = 1.2."""
 
     @pytest.mark.parametrize("values", [
         [0.5, 0.0, -0.7, 0.3, 0.0],

@@ -61,7 +61,10 @@ def test_segment_integrals_sum_to_total():
     lambda: integrate(np.exp, -math.inf, 1.0),
     lambda: integrate(np.exp, 0.0, math.nan),
     lambda: segment_integrals(np.exp, [0.0, math.nan, 1.0]),
-], ids=["refine", "refine-lockstep", "integrate", "integrate-nan", "segment-integrals"])
+    lambda: refine_breakpoints(np.linspace(0.0, 1.0, 20), singular=(math.nan,)),
+    lambda: integrate(np.exp, 0.0, 1.0, singular=(0.0, math.inf)),
+], ids=["refine", "refine-lockstep", "integrate", "integrate-nan", "segment-integrals",
+        "singular-lockstep", "singular-integrate"])
 def test_non_finite_breakpoint_raises(call):
     # a non-finite edge never reaches its stop: the panel march used to run
     # until memory ran out
