@@ -28,7 +28,6 @@ from .halfspace import (
     SharpnessReport,
     dirac_bump,
     sharpness_sequence_halfspace,
-    steiner_per_shell,
     verify_halfspace,
     zeta,
     zeta_integrability_check,

@@ -191,19 +191,6 @@ def _cmd_integrability(args):
           [[args.n, args.p, args.a, value]])
 
 
-_COMMANDS = {
-    "validate-weight": _cmd_validate_weight,
-    "eta-table": _cmd_eta_table,
-    "find-T": _cmd_find_T,
-    "quotient": _cmd_quotient,
-    "sharpness-1d": _cmd_sharpness_1d,
-    "sphere-verify": _cmd_sphere_verify,
-    "halfspace-verify": _cmd_halfspace_verify,
-    "rearrange-demo": _cmd_rearrange_demo,
-    "integrability": _cmd_integrability,
-}
-
-
 def _add_common(sub):
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -229,12 +216,15 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("validate-weight", "eta-table", "find-T"):
+    for name, func in (("validate-weight", _cmd_validate_weight),
+                       ("eta-table", _cmd_eta_table), ("find-T", _cmd_find_T)):
         sub = subs.add_parser(name)
+        sub.set_defaults(func=func)
         _add_weight_args(sub)
         _add_common(sub)
 
     sub = subs.add_parser("quotient")
+    sub.set_defaults(func=_cmd_quotient)
     _add_weight_args(sub)
     sub.add_argument("--function", choices=("hat", "uk", "vk", "zero"), default="hat")
     sub.add_argument("--k", type=int, default=16)
@@ -242,6 +232,7 @@ def build_parser():
     _add_common(sub)
 
     sub = subs.add_parser("sharpness-1d")
+    sub.set_defaults(func=_cmd_sharpness_1d)
     _add_weight_args(sub)
     sub.add_argument("--ks", type=_parse_ks, required=True,
                      help="comma-separated sequence indices, e.g. 16,64,256")
@@ -250,6 +241,7 @@ def build_parser():
     _add_common(sub)
 
     sub = subs.add_parser("sphere-verify")
+    sub.set_defaults(func=_cmd_sphere_verify)
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--p", type=float, required=True)
     sub.add_argument("--a", type=float, required=True,
@@ -258,6 +250,7 @@ def build_parser():
     _add_common(sub)
 
     sub = subs.add_parser("halfspace-verify")
+    sub.set_defaults(func=_cmd_halfspace_verify)
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--p", type=float, required=True)
     sub.add_argument("--k", type=int, default=1024)
@@ -265,12 +258,14 @@ def build_parser():
     _add_common(sub)
 
     sub = subs.add_parser("rearrange-demo")
+    sub.set_defaults(func=_cmd_rearrange_demo)
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--a", type=float, required=True, help="cap radius a_star")
     sub.add_argument("--seed", type=int, default=0)
     _add_common(sub)
 
     sub = subs.add_parser("integrability")
+    sub.set_defaults(func=_cmd_integrability)
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--p", type=float, required=True)
     sub.add_argument("--a", type=float, required=True, help="ball radius R")
@@ -283,7 +278,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _COMMANDS[args.command](args)
+        args.func(args)
     except (ParameterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .quadrature import integrate, segment_integrals
+from .quadrature import check_resolved, integrate, segment_integrals
 from .weights import Weight
 
 #: eta is never evaluated closer to an endpoint than this fraction of a
@@ -43,20 +43,29 @@ def _check_interior(w, t):
 
 
 def tail_integral(w, t):
-    """integral_t^a phi(s)**(-1/(p-1)) ds for a single point t in (0, a)."""
+    """integral_t^a phi(s)**(-1/(p-1)) ds for a single point t in (0, a).
+
+    Raises ``DomainError`` where the quadrature cannot resolve the weight's
+    singular points from t (t below 1e-15 * max(a, 1) next to 0); the point
+    a * ENDPOINT_GUARD stays legal for a >= 1e-3.
+    """
     if not 0.0 < t < w.a:
         raise DomainError(f"t must lie in (0, {w.a}), got {t}")
+    check_resolved(t, w.a, w.singular_points)
     return integrate(w.inv_phi_pow, t, w.a, singular=w.singular_points)
 
 
 def tail_integrals(w, ts):
-    """Tail integrals at a sorted, strictly increasing array of points.
+    """Tail integrals at a sorted, increasing array of points.
 
     A single cumulative sweep: the integrand is integrated over each
     segment between consecutive points and suffix-summed, so the cost is
-    linear in the number of points.
+    linear in the number of points.  Raises ``DomainError`` as
+    ``tail_integral`` does, at the first point.
     """
     ts = np.asarray(ts, dtype=float)
+    if ts.size:
+        check_resolved(float(ts[0]), w.a, w.singular_points)
     pts = np.append(ts, w.a)
     seg = segment_integrals(w.inv_phi_pow, pts, singular=w.singular_points)
     return np.cumsum(seg[::-1])[::-1]
@@ -83,13 +92,15 @@ def eta_many(w, ts):
     """Vectorised eta_a; ``ts`` need not be sorted.
 
     Raises ``NumericalError`` naming the smallest t where eta_a is not
-    finite, which happens when ``phi**(-1/(p-1))`` overflows.
+    finite, which happens when ``phi**(-1/(p-1))`` overflows; that
+    overflow becomes the error, not a RuntimeWarning.
     """
     ts = _check_interior(w, ts)
     order = np.argsort(ts, kind="stable")
     sorted_ts, inverse = np.unique(ts[order], return_inverse=True)
-    inv_phi, tails = w.inv_phi_pow(sorted_ts), tail_integrals(w, sorted_ts)
-    vals = inv_phi / tails
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        inv_phi, tails = w.inv_phi_pow(sorted_ts), tail_integrals(w, sorted_ts)
+        vals = inv_phi / tails
     bad = np.flatnonzero(~np.isfinite(vals))
     if len(bad):
         raise _not_finite(sorted_ts[bad[0]], inv_phi[bad[0]], tails[bad[0]])

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
+from .eta import ENDPOINT_GUARD
 from .hardy1d import GridFunction, QuotientReport
 from .quadrature import panel_nodes, refine_breakpoints, segment_integrals
 from .sphere import (
@@ -30,7 +31,6 @@ from .sphere import (
     extremal_V_hat_k,
     rho_many,
     rho_star,
-    spherical_rearrangement,
     verify_sphere_theorem,
 )
 
@@ -82,12 +82,12 @@ def verify_halfspace(n, p, f):
 
     The radial moment integral R^p r^{n-p} dr multiplies both the
     numerator and the denominator, so it is computed once and the
-    quotient itself is independent of R.
+    quotient itself is independent of R.  Raises ``ParameterError`` when
+    n is not the dimension of the angular factor's geometry.
     """
-    if not 1.0 < p < n:
-        raise DomainError(f"p must satisfy 1 < p < n, got p={p}, n={n}")
-    if np.all(f.angular.values == 0.0):
-        raise DegenerateInputError("angular factor is identically zero")
+    if n != f.angular.geometry.n:
+        raise ParameterError(
+            f"n={n} does not match the angular factor's sphere dimension {f.angular.geometry.n}")
     angular = verify_sphere_theorem(f.angular.geometry, p, f.angular)
     moment = _radial_moment(f.radial, n - p, p)
     return QuotientReport(
@@ -132,8 +132,6 @@ def sharpness_sequence_halfspace(n, p, k, eps):
     radial bump concentrates at r = 1 so both radial moments approach 1
     and the quotient approaches the sharp constant as k grows.
     """
-    if not 1.0 < p < n:
-        raise DomainError(f"p must satisfy 1 < p < n, got p={p}, n={n}")
     geom = _half_space_geometry(n)
     theta_k = extremal_V_hat_k(geom, p, k)
     bump = dirac_bump(eps, p, n)
@@ -153,8 +151,6 @@ def zeta_integrability_check(n, p, R):
     the axis and p < n.  Computed in polar coordinates as the product of
     the radial moment R^{n+1-p}/(n+1-p) and the angular integral.
     """
-    if not 1.0 < p < n:
-        raise DomainError(f"p must satisfy 1 < p < n, got p={p}, n={n}")
     if R <= 0.0:
         raise DomainError(f"R must be > 0, got {R}")
     geom = _half_space_geometry(n)
@@ -168,7 +164,7 @@ def zeta_integrability_check(n, p, R):
     # the integrand ~ theta^{n-1-p} is integrable; the guard below the
     # evaluation floor of rho contributes O(guard^{n-p}).  rho has a kink
     # at the truncation point T, so a panel edge goes there.
-    lo = _HALF_PI * 1e-12
+    lo = _HALF_PI * ENDPOINT_GUARD
     T = _cap_eta_profile(n, p, _HALF_PI)[1].T
     angular = float(np.sum(segment_integrals(integrand, [lo, T, _HALF_PI], singular=(0.0,))))
     radial = R ** (n + 1 - p) / (n + 1 - p)
@@ -176,14 +172,3 @@ def zeta_integrability_check(n, p, R):
     if not math.isfinite(value):
         raise DomainError("integral did not evaluate to a finite value")
     return value
-
-
-def steiner_per_shell(sample_sets, geom):
-    """Shell-by-shell spherical rearrangement.
-
-    Each sample set holds the angular samples of u at one fixed radius;
-    the result is the list of their spherical rearrangements in shell
-    order, which is the discrete form of the Steiner rearrangement of a
-    half-space function.
-    """
-    return [spherical_rearrangement(s, geom) for s in sample_sets]

@@ -25,6 +25,11 @@ from .quadrature import node_tail_integrals, panel_nodes, refine_breakpoints
 GRID_SIZE = 4096
 #: relative depth of geometric node clustering at sequence breakpoints
 CLUSTER_DEPTH = 1e-8
+#: widest first cell of an extremal grid, relative to 1/k: the elements
+#: vary on the scale 1/k there, and up to this width V_k quotients stay
+#: within 5e-5 of their exact law (n=3, p=2, a=pi/2: 1.2e-5 at 0.026, 1.4e-5
+#: at 0.056, 8.6e-5 at 0.26)
+FIRST_CELL = 0.05
 #: quotient panel edges at these fractions of the way from a root of u to
 #: both ends of its cell (both neighbouring nodes, for a root at a node):
 #: |u|**p is only C**p at the root, and a 16-node Gauss panel that ends
@@ -183,12 +188,22 @@ def hardy_quotient(w, prof, u, truncated=False):
 
 
 def _clustered_nodes(lo, hi, size):
-    """Nodes on [lo, hi] clustered geometrically towards both ends."""
+    """Nodes on [lo, hi] clustered geometrically towards both ends.
+
+    Raises ``DomainError`` when the first cell is wider than ``FIRST_CELL``
+    times lo = 1/k, as it is for k above about 1e7/(hi - lo).
+    """
     half = size // 2
     mid = lo + 0.5 * (hi - lo)
     left = lo + (mid - lo) * np.geomspace(CLUSTER_DEPTH, 1.0, half)
     right = hi - (hi - mid) * np.geomspace(CLUSTER_DEPTH, 1.0, size - half)
-    return np.unique(np.concatenate(([lo], left, right, [hi])))
+    nodes = np.unique(np.concatenate(([lo], left, right, [hi])))
+    if nodes[1] - lo > FIRST_CELL * lo:
+        raise DomainError(
+            f"1/k = {lo} is too small for a grid of {size} nodes on [1/k, {hi}]: "
+            f"its first cell is {(nodes[1] - lo) / lo:.3g} times 1/k, above {FIRST_CELL}"
+        )
+    return nodes
 
 
 def extremal_U_k(w, k):
@@ -248,28 +263,22 @@ def extremal_V_k(w, prof, k):
 def A_k_B_k(w, k):
     """The two pieces of the extremal-sequence denominator.
 
-    ``A_k`` is the head integral (its limit, and in fact its exact value,
-    is 1/(p-1)); ``B_k`` is the logarithmically divergent body integral,
+    ``A_k``, the head integral of eta*(I(1/k)/I)**(p-1) from a*1e-12 to
+    1/k, is (1 - (I(1/k)/I(a*1e-12))**(p-1))/(p-1) as eta = -I'/I; its limit
+    is 1/(p-1).  ``B_k`` is the logarithmically divergent body integral,
     regularised at the endpoint guard a*(1 - 1e-12) since the integrand
-    behaves like 1/(a - t) there.
+    behaves like 1/(a - t) there.  1/k must lie between the two guards.
     """
     s = 1.0 / k
-    if s >= w.a:
-        raise DomainError(f"1/k = {s} must be smaller than a = {w.a}")
     p, a = w.p, w.a
     guard_lo = a * ENDPOINT_GUARD
     guard_hi = a * (1.0 - ENDPOINT_GUARD)
-
-    # one call: its scale is the body's, and the head keeps the edges of a
-    # call on [guard_lo, s] alone
-    pts, counts = _panel_edges(w, np.array([guard_lo, s, guard_hi]), coarse=8)
+    if not guard_lo < s < guard_hi:
+        raise DomainError(f"1/k = {s} must lie in ({guard_lo:.3e}, {guard_hi:.6g})")
+    pts, _ = _panel_edges(w, np.array([s, guard_hi]), coarse=8)
     _, wts, _, inv_phi, tails, edge_tails = _sweep(w, pts)
-    # the body integrand is eta = phi**(-1/(p-1))/I; the head integrand is
-    # eta * (I(s)/I)**(p-1), and edge_tails[n] = I(s)
-    n = counts[0]
-    eta_wts = inv_phi / tails * wts
-    a_k = float(np.sum((edge_tails[n] / tails[:n]) ** (p - 1.0) * eta_wts[:n]))
-    b_k = float(np.sum(eta_wts[n:]))
+    a_k = float((1.0 - (edge_tails[0] / tail_integral(w, guard_lo)) ** (p - 1.0)) / (p - 1.0))
+    b_k = float(np.sum(inv_phi / tails * wts))
     return a_k, b_k
 
 

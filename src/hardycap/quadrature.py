@@ -16,7 +16,7 @@ breakpoints).  Two layouts are pinned bit for bit, with at least
 * ``integrate`` (and so ``eta.tail_integral``): the golden-section
   truncation point T is built from its one-segment integrals and moves by
   up to 1.6e-8 under one-ulp changes in them;
-* ``hardy1d.A_k_B_k``: its panels next to the endpoint guard carry a
+* ``hardy1d.A_k_B_k``: its body panels next to the endpoint guard carry a
   node-rounding artefact in B_k that perfbench/reference.json pins to 1e-9.
 
 ``segment_integrals`` and the Hardy quotient take one panel per segment
@@ -53,6 +53,8 @@ GL_TAIL = _tail_matrix(GL_NODES, GL_WEIGHTS)
 
 #: panel width relative to the distance from the nearest singular point
 PANEL_RATIO = 0.2
+#: narrowest panel, relative to the outermost breakpoint (or 1, if larger)
+WIDTH_FLOOR = 1e-15
 #: fewest unfinished segments refined in lockstep; on a handful of
 #: segments a numpy step costs more than the Python steps it replaces
 LOCKSTEP_MIN = 8
@@ -91,14 +93,23 @@ def refine_breakpoints(breakpoints, singular=(), coarse=8):
     (see the module docstring for why that matters).
     """
     breakpoints = np.asarray(breakpoints, dtype=float)
-    # a NaN or infinite edge, or a NaN panel width, would never reach its stop
-    if not (np.isfinite(breakpoints).all() and all(map(math.isfinite, singular))):
-        bad = next(x for x in (*breakpoints.tolist(), *singular) if not math.isfinite(x))
-        raise DomainError(f"breakpoints and singular points must be finite, got {float(bad)!r}")
     lo, hi = breakpoints[:-1], breakpoints[1:]
-    scale = float(max(abs(breakpoints[0]), abs(breakpoints[-1]), 1.0))
-    floor = 1e-15 * scale
-    base = (hi - lo) / coarse
+    span = hi - lo
+    first, last = float(breakpoints[0]), float(breakpoints[-1])
+    # a NaN or infinite edge, or a NaN panel width, would never reach its
+    # stop.  Non-decreasing breakpoints with finite ends are finite, and a
+    # NaN fails span >= 0, so one reduction checks both
+    if not ((span >= 0.0).all() and -math.inf < first and last < math.inf
+            and all(map(math.isfinite, singular))):
+        bad = [x for x in (*breakpoints.tolist(), *singular) if not math.isfinite(x)]
+        if bad:
+            raise DomainError(f"breakpoints and singular points must be finite, got {bad[0]!r}")
+        i = int(np.argmin(span >= 0.0))
+        raise DomainError(
+            f"breakpoints must not decrease, got {float(hi[i])!r} after {float(lo[i])!r}")
+    scale = max(abs(first), abs(last), 1.0)
+    floor = WIDTH_FLOOR * scale
+    base = span / coarse
     stop = hi - 1e-16 * scale
 
     counts = np.empty(len(lo), dtype=np.intp)
@@ -129,6 +140,26 @@ def refine_breakpoints(breakpoints, singular=(), coarse=8):
     for i, edges in zip((first[seg] + len(steps)).tolist(), rest):
         out[i:i + len(edges)] = edges
     return out, counts
+
+
+def check_resolved(lo, hi, singular):
+    """Raise ``DomainError`` where [lo, hi] comes closer to a singular point
+    outside it than the panel-width floor.
+
+    No panel is narrower than the floor, so there the first panel spans
+    more than a factor of 2 in the distance to the point and the 16-point
+    rule loses the integrand: an integral of t**-2 from floor/5 is off by
+    3e-11, from floor/100 by 2.6e-2 (from 1e-20: 5.4e17 for 1e20).  From
+    floor/2 on it is exact to rounding.  A NaN end passes on to
+    ``refine_breakpoints``.
+    """
+    floor = WIDTH_FLOOR * max(abs(lo), abs(hi), 1.0)
+    for s in singular:
+        if (lo - s if s <= lo else s - hi) < floor:  # the distance from [lo, hi] to s
+            raise DomainError(
+                f"[{lo!r}, {hi!r}] comes within {floor:.3g} of the singular point "
+                f"{s!r}, which its panels cannot resolve"
+            )
 
 
 def panel_nodes(points):

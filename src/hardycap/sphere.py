@@ -273,6 +273,9 @@ def check_hardy_littlewood(s1, s2, geom):
 
 @functools.lru_cache(maxsize=None)
 def _cap_eta_profile(n, p, a_star):
+    """The cap's sine weight and eta profile; the one check of 1 < p < n."""
+    if not 1.0 < p < n:
+        raise DomainError(f"p must satisfy 1 < p < n, got p={p}, n={n}")
     w = make_sine_weight(n, p, a_star)
     return w, find_truncation_point(w)
 
@@ -286,8 +289,6 @@ def rho_star(geom, p, theta):
 def rho_many(geom, p, thetas):
     """Vectorised rho on (0, pi]."""
     n = geom.n
-    if not 1.0 < p < n:
-        raise DomainError(f"p must satisfy 1 < p < n, got p={p}, n={n}")
     thetas = np.asarray(thetas, dtype=float)
     if not (np.isfinite(thetas).all() and (thetas > 0.0).all() and (thetas <= math.pi).all()):
         raise DomainError("theta must lie in (0, pi]")
@@ -317,8 +318,6 @@ def verify_sphere_theorem(geom, p, u):
     truncated quotient rescaled by ((n-p)/(p-1))^p.
     """
     n = geom.n
-    if not 1.0 < p < n:
-        raise DomainError(f"p must satisfy 1 < p < n, got p={p}, n={n}")
     w, prof = _cap_eta_profile(n, p, geom.a_star)
     rep = hardy_quotient(w, prof, u.grid, truncated=True)
     omega = geom.omega

@@ -11,6 +11,7 @@ bound with ``delta = n - p``).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,8 @@ class Weight:
     n: int = 0  # sine family only
 
     def __post_init__(self):
+        for name in ("p", "a", "delta"):
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
         p, a = self.p, self.a
         if self.kind == POWER:
             if not p > 1:
@@ -63,11 +66,6 @@ class Weight:
             object.__setattr__(self, "n", n)
         else:
             raise ParameterError(f"kind must be {POWER!r} or {SINE!r}, got {self.kind!r}")
-        for name in ("p", "a", "delta"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ParameterError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
 
     @property
     def c1(self):
@@ -117,6 +115,17 @@ class Weight:
         return self.phi(t) ** (-1.0 / (self.p - 1.0))
 
 
+def _finite(name, value):
+    """``value`` as a finite float; strings, None and other non-numbers
+    raise rather than being converted."""
+    if not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ParameterError(f"{name} must be finite, got {value}")
+    return value
+
+
 def make_power_weight(p, delta, a):
     """Weight ``phi(t) = t**(p-1+delta)``."""
     return Weight(p=p, a=a, kind=POWER, delta=delta)
@@ -136,7 +145,8 @@ def _dimension(n):
 
 def make_sine_weight(n, p, a):
     """Weight ``phi(t) = sin(t)**(n-1)`` on (0, a), a < pi, with 1 < p < n."""
-    n = _dimension(n)  # so that n = "3" is refused as not an integer, not by n - p
+    # checked first, so that n = "3" or p = "2" is refused by name, not by n - p
+    n, p = _dimension(n), _finite("p", p)
     return Weight(p=p, a=a, kind=SINE, delta=n - p, n=n)
 
 

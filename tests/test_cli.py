@@ -75,6 +75,15 @@ class TestExitCodes:
         proc = run_cli("find-T", "--weight", "power", "--p", "2", "--a", "1")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("truncated", [(), ("--truncated",)], ids=["U", "V"])
+    def test_unresolved_k_exits_2(self, truncated, capsys):
+        # this printed quotient 0.99865 (0.99809 truncated) with exit 0
+        argv = ["sharpness-1d", "--weight", "power", "--p", "2", "--delta", "1", "--a", "1",
+                "--ks", "1000000000000000", *truncated]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "first cell" in captured.err
+
     def test_success_exits_0(self):
         proc = run_cli("integrability", "--n", "3", "--p", "2", "--a", "1.0")
         assert proc.returncode == 0

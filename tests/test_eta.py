@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from hardycap.errors import DomainError, NumericalError
 from hardycap.eta import (
+    ENDPOINT_GUARD,
     eta,
     eta_bounds,
     eta_many,
@@ -56,6 +57,35 @@ class TestTailIntegral:
         for t in (0.1, 0.5, 0.9):
             ref = quad(lambda s: math.sin(s) ** (-1.5), t, 1.0)[0]
             assert_allclose(tail_integral(w, t), ref, rtol=1e-10)
+
+
+class TestTailIntegralResolution:
+    """Where the quadrature's panel-width floor would bind, tail integrals
+    raise instead of returning a value that is too small."""
+
+    def test_scalar_below_floor(self, power211):
+        # this returned 5.43e17; the exact value is 1e20
+        with pytest.raises(DomainError, match="cannot resolve"):
+            tail_integral(power211, 1e-20)
+
+    def test_vector_below_floor(self, power211):
+        with pytest.raises(DomainError, match="cannot resolve"):
+            tail_integrals(power211, [1e-20, 0.5])
+
+    def test_sine_endpoint_next_to_pi(self):
+        # a is 8.9e-16 from pi: this returned 8.3e14, 16% below cot 1 - cot a
+        w = make_sine_weight(3, 2.0, math.pi - 1e-15)
+        with pytest.raises(DomainError, match="cannot resolve"):
+            tail_integral(w, 1.0)
+
+    @pytest.mark.parametrize("a", [2e-3, 0.1, 1.0, 100.0])
+    def test_endpoint_guard_legal(self, a):
+        # I(t) = 1/t - 1/a for phi = t**2, at the lower guard a * 1e-12
+        w = make_power_weight(2.0, 1.0, a)
+        t = a * ENDPOINT_GUARD
+        exact = (a - t) / (a * t)
+        assert_allclose(tail_integral(w, t), exact, rtol=1e-13)
+        assert_allclose(tail_integrals(w, [t, 0.5 * a])[0], exact, rtol=1e-13)
 
 
 class TestEtaOracles:
@@ -139,9 +169,15 @@ class TestNotFinite:
     @pytest.mark.parametrize("make,args", [
         (make_sine_weight, (200, 2.0, 1.0)),
         (make_power_weight, (1.01, 1.0, 1.0)),
+        (make_sine_weight, (3, 1.01, 1.5)),
+        (make_sine_weight, (40, 1.05, 1.0)),
+        (make_power_weight, (1.01, 20.0, 100.0)),
     ])
     def test_truncation_point_names_the_overflow(self, make, args):
-        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="= inf"):
+        # no np.errstate here: under the error::RuntimeWarning:hardycap
+        # filter, an overflow warning from the library escaped as a bare
+        # RuntimeWarning before the NumericalError
+        with pytest.raises(NumericalError, match="= inf"):
             find_truncation_point(make(*args))
 
 

@@ -10,7 +10,6 @@ from hardycap.halfspace import (
     SeparableField,
     dirac_bump,
     sharpness_sequence_halfspace,
-    steiner_per_shell,
     verify_halfspace,
     zeta,
     zeta_integrability_check,
@@ -21,7 +20,10 @@ from hardycap.sphere import (
     SampleSet,
     SphericalProfile,
     extremal_V_hat_k,
+    rho_many,
     rho_star,
+    spherical_rearrangement,
+    verify_sphere_theorem,
 )
 
 HALF_PI = math.pi / 2
@@ -106,6 +108,14 @@ class TestVerifyHalfspace:
         with pytest.raises(DegenerateInputError):
             verify_halfspace(3, 2.0, SeparableField(r, theta))
 
+    def test_dimension_mismatch(self):
+        # n = 7 with an angular factor on the n = 3 geometry returned the
+        # n = 3 constant 0.25 (the n = 7 one is 6.25)
+        theta = _angular_profile(lambda t: np.cos(t))
+        r = GridFunction(np.array([0.5, 1.0, 1.5]), np.array([0.0, 1.0, 0.0]))
+        with pytest.raises(ParameterError, match="n=7"):
+            verify_halfspace(7, 2.0, SeparableField(r, theta))
+
     def test_bad_radial_support(self):
         theta = _angular_profile(lambda t: np.cos(t))
         with pytest.raises(ParameterError):
@@ -113,6 +123,31 @@ class TestVerifyHalfspace:
                 GridFunction(np.array([0.5, 1.0, 1.5]), np.array([0.3, 1.0, 0.0])),
                 theta,
             )
+
+
+class TestPRange:
+    """Every cap and half-space entry point refuses p outside (1, n) with
+    the same DomainError."""
+
+    @staticmethod
+    def _field():
+        r = GridFunction(np.array([0.5, 1.0, 1.5]), np.array([0.0, 1.0, 0.0]))
+        return SeparableField(r, _angular_profile(lambda t: np.cos(t)))
+
+    @pytest.mark.parametrize("p", [1.0, 3.0, 4.5])
+    @pytest.mark.parametrize("call", [
+        lambda p, hemi, f: rho_many(hemi, p, [0.5]),
+        lambda p, hemi, f: zeta(3, p, 0.5),
+        lambda p, hemi, f: extremal_V_hat_k(hemi, p, 64),
+        lambda p, hemi, f: verify_sphere_theorem(hemi, p, f.angular),
+        lambda p, hemi, f: verify_halfspace(3, p, f),
+        lambda p, hemi, f: sharpness_sequence_halfspace(3, p, 64, 1e-2),
+        lambda p, hemi, f: zeta_integrability_check(3, p, 1.0),
+    ], ids=["rho_many", "zeta", "extremal_V_hat_k", "verify_sphere_theorem",
+            "verify_halfspace", "sharpness_sequence_halfspace", "zeta_integrability_check"])
+    def test_refused(self, call, p, hemi):
+        with pytest.raises(DomainError, match=r"1 < p < n, got p=.*, n=3"):
+            call(p, hemi, self._field())
 
 
 class TestDiracBump:
@@ -174,7 +209,8 @@ class TestSteinerPerShell:
             weights = rng.uniform(0.2, 1.0, 30)
             weights *= hemi.measure / weights.sum()
             shells.append(SampleSet(rng.uniform(0.0, 1.0, 30), weights))
-        stars = steiner_per_shell(shells, hemi)
+        # the discrete Steiner rearrangement: each shell rearranged on its own
+        stars = [spherical_rearrangement(s, hemi) for s in shells]
         assert len(stars) == len(shells)
         for s, star in zip(shells, stars):
             for q in (1, 2, 3):

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import IntegrationWarning, quad
 
 from hardycap import hardy1d
-from hardycap.errors import DegenerateInputError, ParameterError
+from hardycap.errors import DegenerateInputError, DomainError, ParameterError
 from hardycap.eta import ENDPOINT_GUARD, find_truncation_point
 from hardycap.hardy1d import (
     A_k_B_k,
@@ -333,6 +333,53 @@ class TestExtremalSequences:
         _, b_256 = A_k_B_k(w, 256)
         _, b_4096 = A_k_B_k(w, 4096)
         assert_allclose(b_4096 - b_256, math.log(4096 / 256), rtol=1e-4)
+
+
+class TestLargeK:
+    """Extremal grids and A_k_B_k refuse the k they cannot resolve."""
+
+    def test_grids_refuse_unresolved_k(self, power211):
+        # the grid U_k quotient at k = 1e15 was 0.99865 with no error, its
+        # first cell 5e6 times 1/k wide
+        w, prof = power211
+        with pytest.raises(DomainError, match="first cell"):
+            extremal_U_k(w, 10**15)
+        with pytest.raises(DomainError, match="first cell"):
+            extremal_V_k(w, prof, 10**15)
+
+    def test_largest_accepted_k_meets_the_law(self, sine32):
+        # the first cell is CLUSTER_DEPTH (T - 1/k)/2 wide, and FIRST_CELL
+        # allows k up to 1.27e7 here; the quotient then still meets the
+        # closed form (L_k/4 + E)/(L_k + 1 + D), L_k = log cot(1/k), of
+        # acceptance 1 to 5e-5
+        w, prof = sine32
+        with pytest.raises(DomainError, match="first cell"):
+            extremal_V_k(w, prof, 13_000_000)
+        k = 12_500_000
+        q = hardy_quotient(w, prof, extremal_V_k(w, prof, k), truncated=True).quotient
+        T, ramp_end = math.pi / 4, 3 * math.pi / 8
+        e = 4 / math.pi + 16 * (1 - math.sqrt(2) / 2) / math.pi**2
+        d = quad(lambda t: 4 * ((ramp_end - t) / (ramp_end - T)) ** 2 * math.sin(t) ** 2,
+                 T, ramp_end)[0]
+        lk = math.log(1 / math.tan(1 / k))
+        assert_allclose(q, (lk / 4 + e) / (lk + 1 + d), rtol=5e-5)
+
+    def test_a_k_b_k_refuses_k_past_the_guard(self, power211):
+        # 1/k below the guard a*1e-12 made A_k = -0.648 at k = 1e15
+        w, _ = power211
+        with pytest.raises(DomainError, match="1/k"):
+            A_k_B_k(w, 10**15)
+        with pytest.raises(DomainError, match="1/k"):
+            A_k_B_k(w, 1.0 / (1.0 - 1e-13))  # 1/k past the upper guard
+        assert np.all(np.isfinite(A_k_B_k(w, 10**11)))
+
+    @pytest.mark.parametrize("k", [2, 16, 4096, 10**6, 10**11])
+    def test_a_k_closed_form(self, power211, k):
+        # I(t) = (1 - t)/t for phi = t**2 on (0, 1), so A_k = 1 - I(1/k)/I(1e-12)
+        w, _ = power211
+        tail = lambda t: (1.0 - t) / t
+        a_k, _ = A_k_B_k(w, k)
+        assert_allclose(a_k, 1.0 - tail(1.0 / k) / tail(ENDPOINT_GUARD), rtol=1e-14)
 
 
 class TestNodeTails:

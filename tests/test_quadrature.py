@@ -72,6 +72,24 @@ def test_non_finite_breakpoint_raises(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: refine_breakpoints([0.0, 1.0, 0.5]),
+    lambda: refine_breakpoints([0.0, 1.0, 0.5], singular=(0.0,), coarse=1),
+    # this returned [1, -0.5]
+    lambda: segment_integrals(np.ones_like, [0.0, 1.0, 0.5]),
+    lambda: refine_breakpoints(np.linspace(0.0, 1.0, 20).tolist() + [0.5]),
+], ids=["refine", "refine-coarse-1", "segment-integrals", "refine-lockstep"])
+def test_decreasing_breakpoint_raises(call):
+    with pytest.raises(DomainError, match="must not decrease"):
+        call()
+
+
+def test_zero_width_segment_legal():
+    pts, counts = refine_breakpoints([0.0, 1.0, 1.0, 2.0], singular=(0.0,))
+    assert counts[1] == 1 and np.all(np.diff(pts) >= 0.0)
+    assert_allclose(segment_integrals(np.ones_like, [0.0, 1.0, 1.0, 2.0]), [1.0, 0.0, 1.0])
+
+
 def test_panel_nodes_increasing():
     pts, _ = refine_breakpoints(np.array([1e-10, 0.5, 1.0]), singular=(0.0,))
     x, w = panel_nodes(pts)
@@ -168,8 +186,10 @@ def test_quotient_layout_bit_identical(monkeypatch):
 
 @pytest.mark.parametrize("a", [0.5, math.pi / 2, 2.0, 3.0])
 def test_a_k_b_k_layout_same_as_two_calls(a):
-    # A_k_B_k refines its head [guard_lo, 1/k] and body [1/k, guard_hi] in
-    # one call; for a > 1 the head then gets the body's larger scale
+    # refine_breakpoints batching: two adjacent segments refined in one call
+    # give the edges of two separate calls, as long as the outer
+    # breakpoints set the same scale (for a > 1 the first segment then gets
+    # the second's larger scale)
     lo, hi = a * ENDPOINT_GUARD, a * (1.0 - ENDPOINT_GUARD)
     for singular in ((0.0, a), (0.0, math.pi, a)):
         for k in [*range(2, 130), 256, 1024, 4096, 16384]:

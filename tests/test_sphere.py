@@ -442,6 +442,34 @@ class TestPolyaSzego:
             lhs, rhs = check_polya_szego_radial(hemi, q, u)
             assert lhs >= rhs - 1e-6
 
+    @pytest.mark.parametrize("q", [1.5, 2.0])
+    def test_sign_changing_profile(self, hemi, q):
+        # cos(5 theta) changes sign inside the cells around pi/10 and
+        # 3 pi/10, where a node goes in at the root of the linear piece.
+        # |u| then has u's own slope magnitudes cell by cell, so its energy
+        # is u's; rearranging |u| keeps its moments and does not raise it
+        nodes = np.linspace(0.0, HALF_PI, 33)
+        values = np.cos(5.0 * nodes)
+        values[-1] = 0.0
+        u = SphericalProfile(hemi, GridFunction(nodes, values))
+        lhs, rhs = check_polya_szego_radial(hemi, q, u)
+        slopes = np.diff(values) / np.diff(nodes)
+        energy = np.sum(np.abs(slopes) ** q * np.diff(cap_volume(3, nodes)))
+        assert_allclose(lhs, energy, rtol=1e-12)
+        assert rhs < lhs
+        star = radial_rearrangement(u)
+        assert star.values[0] == 1.0 and np.all(np.diff(star.values) <= 0.0)
+        omega = sphere_surface_volume(2)
+
+        def moment(f, pts):
+            return omega * sum(
+                quad(lambda t: abs(f(t)) ** q * math.sin(t) ** 2, lo, hi)[0]
+                for lo, hi in zip(pts[:-1], pts[1:]))
+
+        roots = [math.pi / 10, 3 * math.pi / 10]
+        assert_allclose(moment(star.grid, star.nodes),
+                        moment(u.grid, np.union1d(nodes, roots)), rtol=1e-6)
+
     def test_rearranged_is_monotone(self, hemi):
         nodes = np.linspace(0.0, HALF_PI, 30)
         values = np.abs(np.sin(3.0 * nodes))

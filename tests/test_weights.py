@@ -117,6 +117,17 @@ class TestConstructionChecks:
         with pytest.raises(ParameterError):
             make_power_weight(p, delta, a)
 
+    @pytest.mark.parametrize("make,args,name", [
+        (make_power_weight, ("2", 1.0, 1.0), "p"),
+        (make_power_weight, (None, 1.0, 1.0), "p"),
+        (make_power_weight, (2.0, 1.0, "1"), "a"),
+        (make_sine_weight, (3, "2", 1.0), "p"),
+    ])
+    def test_non_numeric_parameter(self, make, args, name):
+        # these raised TypeError from the comparisons or from n - p
+        with pytest.raises(ParameterError, match=f"{name} must be a real number"):
+            make(*args)
+
     def test_fields_normalised(self):
         # ints become floats and an integral float n an int, as from the makers
         w = Weight(p=2, a=1, kind="sine", delta=1, n=3.0)
