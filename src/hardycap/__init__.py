@@ -50,8 +50,6 @@ from .sphere import (
     cap_volume,
     check_hardy_littlewood,
     check_polya_szego_radial,
-    decreasing_rearrangement,
-    distribution_function,
     extremal_V_hat_k,
     inverse_cap_volume,
     radial_rearrangement,

@@ -9,10 +9,10 @@ The cap inequality
 holds for u vanishing outside a cap of radius a_star, where rho is the
 truncated weight eta built from the sine weight, scaled by (p-1)/(n-p);
 the reduction to the one-dimensional inequality is exact for radial
-functions.  Rearrangement machinery (distribution function, decreasing
-and spherical rearrangement, Hardy-Littlewood and radial Polya-Szego
-checks) operates on discrete sample sets, which capture the distribution
-function exactly without meshing the sphere.
+functions.  Rearrangement machinery (spherical rearrangement,
+Hardy-Littlewood and radial Polya-Szego checks) operates on discrete
+sample sets, which capture the distribution function exactly without
+meshing the sphere.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaincc, betainccinv, betaincinv
+from scipy.special import betainc, betaincinv
 
 from .errors import DomainError, InequalityViolationError, ParameterError
 from .eta import eta_truncated_many, find_truncation_point
@@ -41,10 +41,9 @@ LEVEL_GRID = 4096
 
 
 def sphere_surface_volume(m):
-    """Volume of the unit m-sphere: 2 * pi**((m+1)/2) / Gamma((m+1)/2)."""
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    x = (m + 1) / 2.0
+    """Volume of the unit m-sphere, m an integer >= 1:
+    2 * pi**((m+1)/2) / Gamma((m+1)/2)."""
+    x = (_dimension(m, least=1) + 1) / 2.0
     if x > 171.0:  # Gamma(x) overflows; the volume is below 1e-220 here
         return 2.0 * math.exp(x * math.log(math.pi) - math.lgamma(x))
     return 2.0 * math.pi**x / math.gamma(x)
@@ -54,39 +53,47 @@ def cap_volume(n, alpha):
     """Volume of the geodesic cap of radius alpha on the unit n-sphere.
 
     ``omega_{n-1} * integral_0^alpha sin**(n-1)`` is half the sphere times
-    ``I_{sin^2 alpha}(n/2, 1/2)``, the regularized incomplete beta function
-    (DLMF 8.17), taken in ``sin^2`` up to pi/4, as the complement in
-    ``cos^2`` beyond and reflected about pi/2: nothing cancels at the pole
-    or at the equator.
+    ``frac = I_{sin^2 alpha}(n/2, 1/2)``, the regularized incomplete beta
+    function (DLMF 8.17), for alpha up to pi/2 and reflected beyond.  Each
+    point takes one ``betainc``: in ``sin^2`` up to the median radius, where
+    ``frac = 1/2``, and as ``1 - I_{cos^2 alpha}(1/2, n/2)`` past it, where
+    the subtraction keeps every digit of a result >= 1/2 and ``cos^2``
+    keeps the distance to the equator.
     """
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
+    n = _dimension(n)
     alpha = np.asarray(alpha, dtype=float)
     outside = ~((alpha >= 0.0) & (alpha <= math.pi))
     if np.any(outside):
         raise DomainError(f"alpha must lie in [0, pi], got {float(alpha[outside][0])!r}")
     s = np.minimum(alpha, math.pi - alpha)
-    frac = np.where(s <= 0.25 * math.pi, betainc(0.5 * n, 0.5, np.sin(s) ** 2),
-                    betaincc(0.5, 0.5 * n, np.cos(s) ** 2))
+    sin2 = np.sin(s) ** 2
+    lower = sin2 <= betaincinv(0.5 * n, 0.5, 0.5)
+    frac = np.empty_like(s)
+    frac[lower] = betainc(0.5 * n, 0.5, sin2[lower])
+    frac[~lower] = 1.0 - betainc(0.5, 0.5 * n, np.cos(s[~lower]) ** 2)
     vol = 0.5 * sphere_surface_volume(n) * np.where(alpha > 0.5 * math.pi, 2.0 - frac, frac)
     return vol if vol.ndim else float(vol)
 
 
 def inverse_cap_volume(n, volume):
-    """Cap radius alpha with cap_volume(n, alpha) = volume, vectorised: the
-    two branches of ``cap_volume`` inverted with ``betaincinv`` and
-    ``betainccinv``, volumes above half the sphere reflected."""
+    """Cap radius alpha with cap_volume(n, alpha) = volume, vectorised.
+
+    Volumes above half the sphere are reflected; each point then takes one
+    ``betaincinv``, on the branch of ``cap_volume`` that holds it: ``sin^2``
+    up to ``frac = 1/2`` and ``cos^2`` from ``1 - frac`` (exact there) past it.
+    """
+    n = _dimension(n)
     volume = np.asarray(volume, dtype=float)
-    total = cap_volume(n, math.pi)
+    total = sphere_surface_volume(n)
     outside = ~((volume > 0.0) & (volume < total))
     if np.any(outside):
         raise DomainError(f"volume must lie in (0, {total!r}), got {float(volume[outside][0])!r}")
     upper = volume > 0.5 * total
     frac = np.where(upper, total - volume, volume) / (0.5 * total)
-    # the branch point is the share of the half sphere in the cap of radius pi/4
-    alpha = np.where(frac <= betainc(0.5 * n, 0.5, 0.5),
-                     np.arcsin(np.sqrt(betaincinv(0.5 * n, 0.5, frac))),
-                     np.arccos(np.sqrt(betainccinv(0.5, 0.5 * n, frac))))
+    lower = frac <= 0.5
+    alpha = np.empty_like(frac)
+    alpha[lower] = np.arcsin(np.sqrt(betaincinv(0.5 * n, 0.5, frac[lower])))
+    alpha[~lower] = np.arccos(np.sqrt(betaincinv(0.5, 0.5 * n, 1.0 - frac[~lower])))
     alpha = np.where(upper, math.pi - alpha, alpha)
     return alpha if alpha.ndim else float(alpha)
 
@@ -176,28 +183,6 @@ def _merged_layers(s):
     v, w = v[order], s.weights[order]
     levels, start = np.unique(-v, return_index=True)
     return -levels, np.cumsum(np.add.reduceat(w, start))
-
-
-def distribution_function(s, t):
-    """mu(t) = measure of { |u| > t }; non-increasing and right-continuous."""
-    if t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    return float(np.sum(s.weights[np.abs(s.values) > t]))
-
-
-def decreasing_rearrangement(s, sigma):
-    """u*(sigma) = inf{ t >= 0 : mu(t) <= sigma }."""
-    total = s.total_measure
-    if not 0.0 <= sigma <= total:
-        raise DomainError(f"sigma must lie in [0, {total}], got {sigma}")
-    levels, cum = _merged_layers(s)
-    # cum[-1] and total are the same sum in different association orders;
-    # clamp so that u*(|Omega|) is exactly 0
-    cum[-1] = min(cum[-1], total)
-    idx = np.searchsorted(cum, sigma, side="right")
-    if idx >= len(levels):
-        return 0.0
-    return float(levels[idx])
 
 
 @dataclass(frozen=True)

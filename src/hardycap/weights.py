@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import DomainError, NumericalError, ParameterError
 
 POWER = "power"
 SINE = "sine"
@@ -131,15 +131,18 @@ def make_power_weight(p, delta, a):
     return Weight(p=p, a=a, kind=POWER, delta=delta)
 
 
-def _dimension(n):
-    """``n`` as an int >= 2; integral floats and numpy integers pass, other
-    values raise rather than being truncated."""
+def _dimension(n, least=2):
+    """``n`` as an int >= ``least``; integral floats and numpy integers
+    pass.  Other values raise ``ParameterError`` rather than being
+    truncated, and integers below ``least`` raise ``DomainError``."""
     try:
         whole = int(n)
     except (TypeError, ValueError, OverflowError):
         whole = None
-    if whole is None or whole != n or whole < 2:
-        raise ParameterError(f"n must be an integer >= 2, got {n!r}")
+    if whole is None or whole != n:
+        raise ParameterError(f"n must be an integer >= {least}, got {n!r}")
+    if whole < least:
+        raise DomainError(f"n must be an integer >= {least}, got {n!r}")
     return whole
 
 

@@ -2,6 +2,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
+from hardycap.sphere import _merged_layers
+
 #: the package source, which a child interpreter must be able to import
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -13,3 +17,21 @@ def run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def distribution_function(s, t):
+    """mu(t) = measure of { |u| > t } of a sample set, summed sample by
+    sample: the oracle for the merged layers of ``hardycap.sphere``."""
+    return float(np.sum(s.weights[np.abs(s.values) > t]))
+
+
+def decreasing_rearrangement(s, sigma):
+    """u*(sigma) = inf{ t >= 0 : mu(t) <= sigma }, read off the merged
+    layers that ``spherical_rearrangement`` and ``check_hardy_littlewood``
+    are built on."""
+    levels, cum = _merged_layers(s)
+    # cum[-1] and the total are the same sum in different association
+    # orders; clamp so that u*(|Omega|) is exactly 0
+    cum[-1] = min(cum[-1], s.total_measure)
+    idx = np.searchsorted(cum, sigma, side="right")
+    return float(levels[idx]) if idx < len(levels) else 0.0

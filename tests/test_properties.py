@@ -5,7 +5,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hardycap.sphere import SampleSet, decreasing_rearrangement, distribution_function
+from conftest import decreasing_rearrangement, distribution_function
+from hardycap.sphere import SampleSet
 
 finite_values = st.lists(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False),

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import betaincinv
 
+from conftest import decreasing_rearrangement, distribution_function
 from hardycap.errors import DomainError, InequalityViolationError, ParameterError
+from hardycap import sphere
 from hardycap.hardy1d import GridFunction
 from hardycap.sphere import (
     CapGeometry,
@@ -17,8 +20,6 @@ from hardycap.sphere import (
     cap_volume,
     check_hardy_littlewood,
     check_polya_szego_radial,
-    decreasing_rearrangement,
-    distribution_function,
     extremal_V_hat_k,
     inverse_cap_volume,
     radial_rearrangement,
@@ -82,6 +83,18 @@ class TestGeometry:
             inverse_cap_volume(3, 0.0)
         with pytest.raises(DomainError):
             sphere_surface_volume(0)
+        with pytest.raises(DomainError):
+            cap_volume(1, 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "3", 2.5, None])
+    def test_non_integer_dimension_rejected(self, bad):
+        # NaN and inf used to give a NaN volume, "3" a bare TypeError
+        with pytest.raises(ParameterError, match="integer"):
+            cap_volume(bad, 1.0)
+        with pytest.raises(ParameterError, match="integer"):
+            inverse_cap_volume(bad, 1.0)
+        with pytest.raises(ParameterError, match="integer"):
+            sphere_surface_volume(bad)
 
 
 CAP_DIMS = (2, 3, 4, 6, 11, 40, 256, 1000)
@@ -102,6 +115,16 @@ def _cap_volume_oracle(n, alpha):
 
 def _normal(x):
     return math.isfinite(x) and abs(x) >= sys.float_info.min
+
+
+def _around_median(n):
+    """Angles packed around the median radius, where the cap holds a
+    quarter of the sphere and ``cap_volume`` switches from ``sin^2`` to
+    ``cos^2``, with their reflections about pi/2."""
+    median = math.asin(math.sqrt(betaincinv(0.5 * n, 0.5, 0.5)))
+    near = np.array([0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.01, 0.02, 0.05])
+    alphas = np.clip(median + np.concatenate((-near[:0:-1], near)), 0.0, HALF_PI)
+    return np.concatenate((alphas, math.pi - alphas))
 
 
 class TestGeometryDimension:
@@ -126,6 +149,13 @@ class TestCapVolumeClosedForm:
             assert err <= (1e-13 * ref if _normal(ref) else sys.float_info.min), (n, alpha)
 
     @pytest.mark.parametrize("n", CAP_DIMS)
+    def test_vs_mpmath_around_median(self, n):
+        for alpha in _around_median(n):
+            ref = _cap_volume_oracle(n, alpha)
+            err = abs(cap_volume(n, alpha) - ref)
+            assert err <= (1e-13 * ref if _normal(ref) else sys.float_info.min), (n, alpha)
+
+    @pytest.mark.parametrize("n", CAP_DIMS)
     def test_inverse_round_trip(self, n):
         checked = 0
         for alpha in CAP_ALPHAS:
@@ -141,6 +171,17 @@ class TestCapVolumeClosedForm:
             checked += 1
         assert checked >= 5 or n == 1000
 
+    @pytest.mark.parametrize("n", CAP_DIMS)
+    def test_inverse_round_trip_around_median(self, n):
+        checked = 0
+        for alpha in _around_median(n):
+            v = cap_volume(n, alpha)
+            if not _normal(v) or v == cap_volume(n, math.pi):
+                continue
+            assert abs(inverse_cap_volume(n, v) - alpha) <= 1e-12 * alpha, (n, alpha)
+            checked += 1
+        assert checked == 34 or n == 1000
+
     def test_inverse_tiny_volume(self):
         # the cap volume is 4 pi alpha^3 / 3 to relative O(alpha^2)
         assert_allclose(inverse_cap_volume(3, 1e-300), (3e-300 / (4.0 * math.pi)) ** (1 / 3),
@@ -149,13 +190,36 @@ class TestCapVolumeClosedForm:
 
     @pytest.mark.parametrize("n", (2, 5, 40))
     def test_vectorised_equals_elementwise(self, n):
-        alphas = np.concatenate((np.geomspace(1e-8, math.pi, 50), [0.0, HALF_PI]))
+        alphas = np.concatenate((np.geomspace(1e-8, math.pi, 50), [0.0, HALF_PI],
+                                 _around_median(n)))
         vols = cap_volume(n, alphas)
         assert np.array_equal(vols, [cap_volume(n, a) for a in alphas])
         inner = vols[(vols > 0.0) & (vols < cap_volume(n, math.pi))]
         radii = inverse_cap_volume(n, inner)
         assert isinstance(inverse_cap_volume(n, inner[0]), float)
         assert np.array_equal(radii, [inverse_cap_volume(n, v) for v in inner])
+
+    @pytest.mark.parametrize("n", [2, 40, 256])
+    def test_one_evaluation_per_point(self, n, monkeypatch):
+        def spy(name):
+            real, sizes = getattr(sphere, name), []
+
+            def counted(*args):
+                sizes.append(np.size(args[-1]))
+                return real(*args)
+
+            monkeypatch.setattr(sphere, name, counted)
+            return sizes
+
+        assert not hasattr(sphere, "betaincc") and not hasattr(sphere, "betainccinv")
+        alphas = _around_median(n)
+        inc, inv = spy("betainc"), spy("betaincinv")
+        vols = cap_volume(n, alphas)
+        # each point on one branch, and the median from one scalar betaincinv
+        assert len(inc) <= 2 and sum(inc) == len(alphas) and inv == [1]
+        inc.clear(), inv.clear()
+        inverse_cap_volume(n, vols)
+        assert inc == [] and len(inv) <= 2 and sum(inv) == len(vols)
 
     def test_domain_error_names_first_offender(self):
         vols = np.concatenate((np.linspace(1.0, 5.0, 1000), [0.0, -1.0], np.ones(1000)))
