@@ -16,7 +16,6 @@ from .eta import (
     eta,
     eta_bounds,
     eta_many,
-    eta_truncated,
     eta_truncated_many,
     find_truncation_point,
     riccati_residual,

@@ -237,7 +237,6 @@ def build_parser():
     sub.add_argument("--ks", type=_parse_ks, required=True,
                      help="comma-separated sequence indices, e.g. 16,64,256")
     sub.add_argument("--truncated", action="store_true")
-    sub.add_argument("--seed", type=int, default=0)
     _add_common(sub)
 
     sub = subs.add_parser("sphere-verify")

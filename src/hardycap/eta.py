@@ -189,15 +189,9 @@ def find_truncation_point(w):
     return EtaProfile(weight=w, T=float(t_min), eta_at_T=eta(w, t_min))
 
 
-def eta_truncated(prof, t):
-    """eta_a truncated at T: eta_a(t) for t <= T, the plateau value after."""
-    if not 0.0 < t < prof.weight.a:
-        raise DomainError(f"t must lie in (0, {prof.weight.a}), got {t}")
-    return float(eta_truncated_many(prof, [t])[0])
-
-
 def eta_truncated_many(prof, ts):
-    """Vectorised ``eta_truncated``; points past a take the plateau value."""
+    """eta_a truncated at T: eta_a(t) for t <= T, the plateau value after
+    (also past a)."""
     ts = np.asarray(ts, dtype=float)
     finite = np.isfinite(ts)
     if not finite.all():

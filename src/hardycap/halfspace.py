@@ -10,7 +10,8 @@ Verification is restricted to separable fields u = R(r) * Theta(theta):
 both sides then factor through Fubini into the same radial moment times
 an angular integral, so the quotient is exactly the angular cap quotient
 at cap radius pi/2.  Sharpness is demonstrated with the cap extremal
-sequence in theta and a narrow triangular bump in r.
+sequence in theta and a narrow triangular bump in r.  The integral of
+zeta^p / |x|^p over a half ball is taken in closed form, not by quadrature.
 """
 
 from __future__ import annotations
@@ -21,18 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .eta import ENDPOINT_GUARD
 from .hardy1d import GridFunction, QuotientReport
-from .quadrature import panel_nodes, refine_breakpoints, segment_integrals
+from .quadrature import panel_nodes, refine_breakpoints
 from .sphere import (
     CapGeometry,
     SphericalProfile,
     _cap_eta_profile,
+    cap_volume,
     extremal_V_hat_k,
-    rho_many,
     rho_star,
     verify_sphere_theorem,
 )
+from .weights import _finite
 
 _HALF_PI = math.pi / 2.0
 
@@ -65,6 +66,7 @@ def _half_space_geometry(n):
 
 def zeta(n, p, theta):
     """The half-space singularity zeta(theta) = rho_{pi/2}(theta)."""
+    theta = _finite("theta", theta)
     if theta > _HALF_PI:
         raise DomainError(f"theta must lie in (0, pi/2], got {theta}")
     return rho_star(_half_space_geometry(n), p, theta)
@@ -147,28 +149,26 @@ def sharpness_sequence_halfspace(n, p, k, eps):
 def zeta_integrability_check(n, p, R):
     """integral over B_R intersected with the half-space of zeta^p / |x|^p.
 
-    Finite because the angular integrand behaves like theta^{n-1-p} near
-    the axis and p < n.  Computed in polar coordinates as the product of
-    the radial moment R^{n+1-p}/(n+1-p) and the angular integral.
+    Polar coordinates split it into the radial moment R^{n+1-p}/(n+1-p)
+    and omega_{n-1} * integral_0^{pi/2} zeta^p phi, phi = sin^{n-1}, which
+    is closed: below T, eta^p phi = -I' I^{-p} with I(t) = integral_t^{pi/2}
+    phi^{-1/(p-1)} has the primitive I^{1-p}/(p-1), which is 0 at 0 (p < n)
+    and phi(T) eta(T)^{p-1}/(p-1) at T; above T, zeta is its plateau zeta_T
+    over a cap volume.  As eta'(T) = 0, an error in T enters only to second
+    order.  Raises ``DomainError`` when the value overflows.
     """
+    R = _finite("R", R)
     if R <= 0.0:
         raise DomainError(f"R must be > 0, got {R}")
     geom = _half_space_geometry(n)
-
-    def integrand(theta):
-        flat = theta.ravel()
-        return (rho_many(geom, p, flat) ** p * np.sin(flat) ** (n - 1)).reshape(
-            theta.shape
-        )
-
-    # the integrand ~ theta^{n-1-p} is integrable; the guard below the
-    # evaluation floor of rho contributes O(guard^{n-p}).  rho has a kink
-    # at the truncation point T, so a panel edge goes there.
-    lo = _HALF_PI * ENDPOINT_GUARD
-    T = _cap_eta_profile(n, p, _HALF_PI)[1].T
-    angular = float(np.sum(segment_integrals(integrand, [lo, T, _HALF_PI], singular=(0.0,))))
-    radial = R ** (n + 1 - p) / (n + 1 - p)
-    value = geom.omega * radial * angular
+    w, prof = _cap_eta_profile(n, p, _HALF_PI)
+    zeta_T = (p - 1.0) / (n - p) * prof.eta_at_T
+    try:
+        value = R ** (n + 1 - p) / (n + 1 - p) * zeta_T ** (p - 1.0) * (
+            geom.omega * float(w.phi(prof.T)) / (n - p)
+            + zeta_T * (geom.measure - cap_volume(n, prof.T)))
+    except OverflowError:  # a float power overflows by raising, not to inf
+        value = math.inf
     if not math.isfinite(value):
         raise DomainError("integral did not evaluate to a finite value")
     return value

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DegenerateInputError, DomainError, ParameterError
 from .eta import ENDPOINT_GUARD, tail_integral, tail_integrals
 from .quadrature import node_tail_integrals, panel_nodes, refine_breakpoints
+from .weights import _finite
 
 #: nodes of the sampled extremal sequence elements
 GRID_SIZE = 4096
@@ -83,6 +84,7 @@ class QuotientReport:
 
 def sharp_constant(p):
     """The sharp one-dimensional constant ((p-1)/p)**p."""
+    p = _finite("p", p)
     if not p > 1:
         raise DomainError(f"p must be > 1, got {p}")
     return ((p - 1.0) / p) ** p

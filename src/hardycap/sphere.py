@@ -27,7 +27,7 @@ from scipy.special import betainc, betaincinv
 from .errors import DomainError, InequalityViolationError, ParameterError
 from .eta import eta_truncated_many, find_truncation_point
 from .hardy1d import GridFunction, QuotientReport, extremal_V_k, hardy_quotient
-from .weights import _dimension, make_sine_weight
+from .weights import _dimension, _finite, make_sine_weight
 
 #: absolute slack before a Hardy-Littlewood or cap-inequality check reports
 #: a violation
@@ -259,6 +259,7 @@ def check_hardy_littlewood(s1, s2, geom):
 @functools.lru_cache(maxsize=None)
 def _cap_eta_profile(n, p, a_star):
     """The cap's sine weight and eta profile; the one check of 1 < p < n."""
+    p = _finite("p", p)
     if not 1.0 < p < n:
         raise DomainError(f"p must satisfy 1 < p < n, got p={p}, n={n}")
     w = make_sine_weight(n, p, a_star)

@@ -116,13 +116,14 @@ class Weight:
 
 
 def _finite(name, value):
-    """``value`` as a finite float; strings, None and other non-numbers
-    raise rather than being converted."""
+    """``value`` as a finite float.  Strings, None and other non-numbers
+    raise ``ParameterError`` rather than being converted; NaN and the
+    infinities raise ``DomainError``, as non-finite points do elsewhere."""
     if not isinstance(value, numbers.Real):
         raise ParameterError(f"{name} must be a real number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
-        raise ParameterError(f"{name} must be finite, got {value}")
+        raise DomainError(f"{name} must be finite, got {value}")
     return value
 
 

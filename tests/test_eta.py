@@ -13,7 +13,6 @@ from hardycap.eta import (
     eta,
     eta_bounds,
     eta_many,
-    eta_truncated,
     eta_truncated_many,
     find_truncation_point,
     riccati_residual,
@@ -260,8 +259,9 @@ class TestTruncation:
 
     def test_truncated_plateau(self, sine32):
         prof = find_truncation_point(sine32)
-        assert eta_truncated(prof, 1.0) == prof.eta_at_T
-        assert_allclose(eta_truncated(prof, 0.3), eta(sine32, 0.3), rtol=1e-14)
+        plateau, below = eta_truncated_many(prof, [1.0, 0.3])
+        assert plateau == prof.eta_at_T
+        assert_allclose(below, eta(sine32, 0.3), rtol=1e-14)
         ts = np.array([0.2, 0.9, 1.4])
         vals = eta_truncated_many(prof, ts)
         assert_allclose(vals[0], eta(sine32, 0.2), rtol=1e-12)

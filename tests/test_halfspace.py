@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -19,6 +20,7 @@ from hardycap.sphere import (
     CapGeometry,
     SampleSet,
     SphericalProfile,
+    _cap_eta_profile,
     extremal_V_hat_k,
     rho_many,
     rho_star,
@@ -66,6 +68,11 @@ class TestZeta:
             zeta(3, 2.0, 0.0)
         with pytest.raises(DomainError):
             zeta(3, 2.0, math.nan)
+
+    def test_non_numeric_theta(self):
+        # raised a bare TypeError from the comparison theta > pi/2
+        with pytest.raises(ParameterError, match="theta must be a real number"):
+            zeta(3, 2.0, "0.5")
 
 
 class TestVerifyHalfspace:
@@ -199,6 +206,50 @@ class TestIntegrability:
             zeta_integrability_check(3, 3.0, 1.0)
         with pytest.raises(DomainError):
             zeta_integrability_check(3, 2.0, -1.0)
+
+    @pytest.mark.parametrize("n,p", [(2, 1.5), (3, 2.0), (4, 2.5), (5, 3.0), (10, 5.5),
+                                     (19, 10.0), (40, 20.5)])
+    def test_exact_family(self, n, p):
+        # n = 2p - 1: I(t) = cot t on (0, pi/2), eta = 1/(sin t cos t), T = pi/4,
+        # so the angular integral of eta^p sin^{n-1} is 1/(p-1) below T (the
+        # primitive cot^{1-p}/(p-1)) plus 2^p integral_T^{pi/2} sin^{n-1}
+        R = 1.3
+        with mpmath.workdps(30):
+            omega = 2 * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2)
+            plateau = mpmath.mpf(2) ** p * mpmath.quad(
+                lambda t: mpmath.sin(t) ** (n - 1), [mpmath.pi / 4, mpmath.pi / 2])
+            ref = (omega * mpmath.mpf(R) ** (n + 1 - p) / (n + 1 - p)
+                   * ((mpmath.mpf(p) - 1) / (n - p)) ** p * (1 / (mpmath.mpf(p) - 1) + plateau))
+        assert_allclose(zeta_integrability_check(n, p, R), float(ref), rtol=1e-13)
+
+    @pytest.mark.parametrize("R", [0.3, 1.0, 2.5])
+    def test_closed_form_n3_p2(self, R):
+        exact = 2.0 * math.pi * R**2 * (2.0 + math.pi / 2.0)
+        assert_allclose(zeta_integrability_check(3, 2.0, R), exact, rtol=1e-14)
+
+    def test_p_near_one(self):
+        # phi**(-1/(p-1)) overflowed at the quadrature guard and raised NumericalError
+        v = zeta_integrability_check(3, 1.05, 1.0)
+        assert v > 0.0 and math.isfinite(v)
+
+    def test_overflow_raises(self):
+        # R**2 raised a bare OverflowError
+        with pytest.raises(DomainError, match="finite value"):
+            zeta_integrability_check(3, 2.0, 1e200)
+
+    def test_non_numeric_R(self):
+        # raised a bare TypeError from the comparison R <= 0
+        with pytest.raises(ParameterError, match="R must be a real number"):
+            zeta_integrability_check(3, 2.0, "1")
+
+    @pytest.mark.parametrize("R", [math.nan, math.inf])
+    def test_non_finite_R_refused_before_any_work(self, R):
+        # NaN ran the whole quadrature before the final finiteness check;
+        # n = 7, p = 4.25 has no cached cap profile in this module
+        before = _cap_eta_profile.cache_info()
+        with pytest.raises(ParameterError, match="R must be finite"):
+            zeta_integrability_check(7, 4.25, R)
+        assert _cap_eta_profile.cache_info() == before
 
 
 class TestSteinerPerShell:

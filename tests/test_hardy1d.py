@@ -38,6 +38,13 @@ def sine32():
     return w, find_truncation_point(w)
 
 
+class TestSharpConstant:
+    def test_non_numeric_p(self):
+        # raised a bare TypeError from the comparison p > 1
+        with pytest.raises(ParameterError, match="p must be a real number"):
+            sharp_constant("2")
+
+
 class TestGridFunction:
     def test_validation(self):
         with pytest.raises(ParameterError):

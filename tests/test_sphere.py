@@ -288,6 +288,10 @@ class TestRho:
         with pytest.raises(DomainError):
             rho_star(hemi, 3.5, 0.5)  # p >= n
 
+    def test_non_numeric_p(self, hemi):
+        # raised a bare TypeError from the comparison 1 < p
+        with pytest.raises(ParameterError, match="p must be a real number"):
+            rho_many(hemi, "2", [0.5])
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf])
     def test_non_finite_theta(self, hemi, theta):
