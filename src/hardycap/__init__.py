@@ -18,7 +18,6 @@ from .eta import (
     eta_many,
     eta_truncated_many,
     find_truncation_point,
-    riccati_residual,
     tail_integral,
     tail_integrals,
 )
@@ -52,7 +51,6 @@ from .sphere import (
     extremal_V_hat_k,
     inverse_cap_volume,
     radial_rearrangement,
-    rho_asymptotic_check,
     rho_many,
     rho_star,
     sphere_surface_volume,

@@ -109,13 +109,8 @@ def _cmd_validate_weight(args):
 def _cmd_eta_table(args):
     w = _build_weight(args)
     ts = w.a * np.geomspace(1e-6, 1.0 - 1e-6, 64)
-    vals = eta_many(w, ts)
-    header = ["t", "eta", "lower_bound", "upper_bound"]
-    rows = []
-    for t, v in zip(ts, vals):
-        lo, hi = eta_bounds(w, t)
-        rows.append([t, v, lo, hi])
-    _emit(args, _meta(args), header, rows)
+    rows = np.column_stack((ts, eta_many(w, ts), *eta_bounds(w, ts))).tolist()
+    _emit(args, _meta(args), ["t", "eta", "lower_bound", "upper_bound"], rows)
 
 
 def _cmd_find_T(args):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .quadrature import check_resolved, integrate, segment_integrals
-from .weights import Weight
+from .weights import Weight, _finite, _finite_array
 
 #: eta is never evaluated closer to an endpoint than this fraction of a
 ENDPOINT_GUARD = 1e-12
@@ -32,10 +32,8 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio reciprocal
 
 
 def _check_interior(w, t):
-    t = np.asarray(t, dtype=float)
-    # isfinite first: no NaN reaches a comparison
-    if not (np.isfinite(t).all() and (t >= w.a * ENDPOINT_GUARD).all()
-            and (t <= w.a * (1.0 - ENDPOINT_GUARD)).all()):
+    t = _finite_array("t", t)
+    if not ((t >= w.a * ENDPOINT_GUARD).all() and (t <= w.a * (1.0 - ENDPOINT_GUARD)).all()):
         raise DomainError(
             f"t must lie in ({w.a * ENDPOINT_GUARD:.3e}, {w.a * (1 - ENDPOINT_GUARD):.6g})"
         )
@@ -49,6 +47,7 @@ def tail_integral(w, t):
     singular points from t (t below 1e-15 * max(a, 1) next to 0); the point
     a * ENDPOINT_GUARD stays legal for a >= 1e-3.
     """
+    t = _finite("t", t)
     if not 0.0 < t < w.a:
         raise DomainError(f"t must lie in (0, {w.a}), got {t}")
     check_resolved(t, w.a, w.singular_points)
@@ -63,7 +62,7 @@ def tail_integrals(w, ts):
     linear in the number of points.  Raises ``DomainError`` as
     ``tail_integral`` does, at the first point.
     """
-    ts = np.asarray(ts, dtype=float)
+    ts = _finite_array("ts", ts)
     if ts.size:
         check_resolved(float(ts[0]), w.a, w.singular_points)
     pts = np.append(ts, w.a)
@@ -89,7 +88,8 @@ def eta(w, t):
 
 
 def eta_many(w, ts):
-    """Vectorised eta_a; ``ts`` need not be sorted.
+    """Vectorised eta_a; ``ts`` need not be sorted, and a repeated point
+    is a zero-width segment of the one tail sweep.
 
     Raises ``NumericalError`` naming the smallest t where eta_a is not
     finite, which happens when ``phi**(-1/(p-1))`` overflows; that
@@ -97,7 +97,7 @@ def eta_many(w, ts):
     """
     ts = _check_interior(w, ts)
     order = np.argsort(ts, kind="stable")
-    sorted_ts, inverse = np.unique(ts[order], return_inverse=True)
+    sorted_ts = ts[order]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         inv_phi, tails = w.inv_phi_pow(sorted_ts), tail_integrals(w, sorted_ts)
         vals = inv_phi / tails
@@ -105,44 +105,35 @@ def eta_many(w, ts):
     if len(bad):
         raise _not_finite(sorted_ts[bad[0]], inv_phi[bad[0]], tails[bad[0]])
     out = np.empty_like(ts)
-    out[order] = vals[inverse]
+    out[order] = vals
     return out
 
 
 def eta_bounds(w, t):
-    """Two-sided bounds on eta_a from the growth constants of phi.
+    """Two-sided bounds on eta_a from the growth constants of phi, at a
+    point or an array of points in (0, a).
 
     Returns ``(lo, hi)`` with ``K(t) = e / (t * (1 - (t/a)**e))``,
-    ``e = delta/(p-1)``, scaled by ``(c1/c2)**(1/(p-1))`` and its
-    reciprocal; ``1 - (t/a)**e = -expm1(e log(t/a))`` neither overflows
-    nor cancels near ``t = a``.  When the scale factor underflows to 0
-    there is no finite two-sided bound, and ``(0.0, inf)`` is returned.
+    ``e = delta/(p-1)``, scaled by ``r = (c1/c2)**(1/(p-1))`` and its
+    reciprocal: two floats for a scalar ``t``, two arrays otherwise.
+    ``1 - (t/a)**e = -expm1(e log(t/a))`` neither overflows nor cancels
+    near ``t = a``.  When r underflows to 0 there is no finite two-sided
+    bound, and ``(0.0, inf)`` is returned; where ``K/r`` overflows the upper
+    bound is inf.
     """
-    if not 0.0 < t < w.a:
-        raise DomainError(f"t must lie in (0, {w.a}), got {t}")
+    t = _finite_array("t", t)
+    if not ((t > 0.0) & (t < w.a)).all():
+        raise DomainError(f"t must lie in (0, {w.a})")
     e = w.delta / (w.p - 1.0)
-    # near t = a, t - a is exact and t / a is not
-    log_ratio = math.log1p((t - w.a) / w.a) if 2.0 * t > w.a else math.log(t / w.a)
-    k = e / (t * -math.expm1(e * log_ratio))
     r = (w.c1 / w.c2) ** (1.0 / (w.p - 1.0))
-    if r == 0.0:
-        return 0.0, math.inf
-    return r * k, k / r
-
-
-def riccati_residual(w, t, h):
-    """Residual of the Riccati identity with a central-difference derivative.
-
-    |eta*phi'/phi + (p-1)*eta_h' - (p-1)*eta**2| where eta_h' is the
-    central finite difference with step h; O(h^2) for exact eta.
-    """
-    if not (0.0 < t - h and t + h < w.a):
-        raise DomainError(f"t +- h must lie inside (0, {w.a})")
-    lo, e0, hi = eta_many(w, [t - h, t, t + h]).tolist()
-    d = (hi - lo) / (2.0 * h)
-    phi_t = float(w.phi(t))
-    dphi_t = float(w.dphi(t))
-    return abs(e0 * dphi_t / phi_t + (w.p - 1.0) * d - (w.p - 1.0) * e0**2)
+    # divide: np.where evaluates both branches, and log1p(-1) = -inf where
+    # t - a rounds to -a; K/r = inf where r underflows to 0
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        # near t = a, t - a is exact and t / a is not
+        log_ratio = np.where(2.0 * t > w.a, np.log1p((t - w.a) / w.a), np.log(t / w.a))
+        k = e / (t * -np.expm1(e * log_ratio))
+        lo, hi = (r * k if r else np.zeros_like(k)), k / r
+    return (lo, hi) if lo.ndim else (float(lo), float(hi))
 
 
 @dataclass(frozen=True)
@@ -192,10 +183,7 @@ def find_truncation_point(w):
 def eta_truncated_many(prof, ts):
     """eta_a truncated at T: eta_a(t) for t <= T, the plateau value after
     (also past a)."""
-    ts = np.asarray(ts, dtype=float)
-    finite = np.isfinite(ts)
-    if not finite.all():
-        raise DomainError(f"t must be finite, got {float(ts[~finite][0])!r}")
+    ts = _finite_array("t", ts)
     out = np.full(ts.shape, prof.eta_at_T)
     below = ts <= prof.T
     if np.any(below):

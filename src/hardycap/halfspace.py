@@ -103,6 +103,7 @@ def verify_halfspace(n, p, f):
 def dirac_bump(eps, p, n):
     """Triangular radial bump of half-width eps at r = 1, normalised so
     that integral R**p r**n dr = 1."""
+    eps = _finite("eps", eps)
     if not 0.0 < eps < 0.5:
         raise ParameterError(f"eps must lie in (0, 1/2), got {eps}")
     raw = GridFunction(

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DegenerateInputError, DomainError, ParameterError
 from .eta import ENDPOINT_GUARD, tail_integral, tail_integrals
 from .quadrature import node_tail_integrals, panel_nodes, refine_breakpoints
-from .weights import _finite
+from .weights import _finite, _finite_array
 
 #: nodes of the sampled extremal sequence elements
 GRID_SIZE = 4096
@@ -50,14 +50,12 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        nodes = np.ascontiguousarray(self.nodes, dtype=float)
-        values = np.ascontiguousarray(self.values, dtype=float)
+        nodes = np.ascontiguousarray(_finite_array("nodes", self.nodes))
+        values = np.ascontiguousarray(_finite_array("values", self.values))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
         if nodes.ndim != 1 or nodes.shape != values.shape or len(nodes) < 2:
             raise ParameterError("nodes and values must be equal-length 1-D arrays (>= 2)")
-        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(values))):
-            raise ParameterError("nodes and values must be finite")
         if not np.all(np.diff(nodes) > 0.0):
             raise ParameterError("nodes must be strictly increasing")
         if values[-1] != 0.0:
@@ -214,6 +212,7 @@ def extremal_U_k(w, k):
     U_k is the constant I(1/k)**((p-1)/p) on [0, 1/k] and I(t)**((p-1)/p)
     on [1/k, a], where I is the tail integral of phi**(-1/(p-1)).
     """
+    k = _finite("k", k)
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")
     s = 1.0 / k
@@ -241,7 +240,11 @@ def extremal_V_k(w, prof, k):
 
     so the margin tends to zero only like 1/log k.  For n=3, p=2, a=pi/2
     (I(t) = cot t, T = pi/4) this is margin = 1.420021/(L_k + 1.312158).
+    Raises ``ParameterError`` when prof was built from another weight.
     """
+    if prof.weight != w:
+        raise ParameterError("profile was not built from this weight")
+    k = _finite("k", k)
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")
     s = 1.0 / k
@@ -269,8 +272,12 @@ def A_k_B_k(w, k):
     1/k, is (1 - (I(1/k)/I(a*1e-12))**(p-1))/(p-1) as eta = -I'/I; its limit
     is 1/(p-1).  ``B_k`` is the logarithmically divergent body integral,
     regularised at the endpoint guard a*(1 - 1e-12) since the integrand
-    behaves like 1/(a - t) there.  1/k must lie between the two guards.
+    behaves like 1/(a - t) there.  k must be positive and 1/k must lie
+    between the two guards.
     """
+    k = _finite("k", k)
+    if k <= 0.0:
+        raise DomainError(f"k must be > 0, got {k}")
     s = 1.0 / k
     p, a = w.p, w.a
     guard_lo = a * ENDPOINT_GUARD

@@ -27,7 +27,7 @@ from scipy.special import betainc, betaincinv
 from .errors import DomainError, InequalityViolationError, ParameterError
 from .eta import eta_truncated_many, find_truncation_point
 from .hardy1d import GridFunction, QuotientReport, extremal_V_k, hardy_quotient
-from .weights import _dimension, _finite, make_sine_weight
+from .weights import _dimension, _finite, _finite_array, make_sine_weight
 
 #: absolute slack before a Hardy-Littlewood or cap-inequality check reports
 #: a violation
@@ -61,8 +61,8 @@ def cap_volume(n, alpha):
     keeps the distance to the equator.
     """
     n = _dimension(n)
-    alpha = np.asarray(alpha, dtype=float)
-    outside = ~((alpha >= 0.0) & (alpha <= math.pi))
+    alpha = _finite_array("alpha", alpha)
+    outside = (alpha < 0.0) | (alpha > math.pi)
     if np.any(outside):
         raise DomainError(f"alpha must lie in [0, pi], got {float(alpha[outside][0])!r}")
     s = np.minimum(alpha, math.pi - alpha)
@@ -83,9 +83,9 @@ def inverse_cap_volume(n, volume):
     up to ``frac = 1/2`` and ``cos^2`` from ``1 - frac`` (exact there) past it.
     """
     n = _dimension(n)
-    volume = np.asarray(volume, dtype=float)
+    volume = _finite_array("volume", volume)
     total = sphere_surface_volume(n)
-    outside = ~((volume > 0.0) & (volume < total))
+    outside = (volume <= 0.0) | (volume >= total)
     if np.any(outside):
         raise DomainError(f"volume must lie in (0, {total!r}), got {float(volume[outside][0])!r}")
     upper = volume > 0.5 * total
@@ -156,14 +156,12 @@ class SampleSet:
     weights: np.ndarray
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=float)
-        weights = np.ascontiguousarray(self.weights, dtype=float)
+        values = np.ascontiguousarray(_finite_array("values", self.values))
+        weights = np.ascontiguousarray(_finite_array("weights", self.weights))
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
         if values.shape != weights.shape or values.ndim != 1 or len(values) == 0:
             raise ParameterError("values and weights must be equal-length 1-D arrays")
-        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(weights))):
-            raise ParameterError("values and weights must be finite")
         if np.any(weights < 0.0):
             raise ParameterError("weights must be nonnegative")
 
@@ -207,14 +205,18 @@ class CapStepProfile:
         return float(np.sum(self.levels**q * self.cell_measures()))
 
 
+def _check_measure(s, geom):
+    """Refuse a sample set whose total measure is not the cap volume, to
+    1e-8 relative."""
+    total, measure = s.total_measure, geom.measure
+    if abs(total - measure) > 1e-8 * measure:
+        raise ParameterError(f"sample-set measure {total} does not match the cap volume {measure}")
+
+
 def spherical_rearrangement(s, geom):
     """Rearrange a sample set into the radial, non-increasing step profile
     on the cap of equal volume."""
-    total = s.total_measure
-    if abs(total - geom.measure) > 1e-8 * geom.measure:
-        raise ParameterError(
-            f"sample-set measure {total} does not match the cap volume {geom.measure}"
-        )
+    _check_measure(s, geom)
     levels, cum = _merged_layers(s)
     # boundary of the j-th plateau: the cap radius holding cumulative mass;
     # layers of zero weight at the top hold none, so their radius is 0
@@ -228,13 +230,15 @@ def spherical_rearrangement(s, geom):
 def check_hardy_littlewood(s1, s2, geom):
     """Hardy-Littlewood: integral u*v over Omega vs its rearranged form.
 
-    Both sample sets must live on the same cells.  Returns ``(lhs, rhs)``
+    Both sample sets must live on the same cells, whose measures sum to
+    the cap volume of ``geom``.  Returns ``(lhs, rhs)``
     with ``lhs = sum w*u*v`` and ``rhs = integral u* v* dsigma`` computed
     exactly on the merged plateau structure; raises if
     lhs > rhs + VIOLATION_TOL.
     """
     if s1.values.shape != s2.values.shape or not np.array_equal(s1.weights, s2.weights):
         raise ParameterError("sample sets must share the same cell structure")
+    _check_measure(s1, geom)
     lhs = float(np.sum(s1.weights * s1.values * s2.values))
     lev1, cum1 = _merged_layers(s1)
     lev2, cum2 = _merged_layers(s2)
@@ -275,19 +279,12 @@ def rho_star(geom, p, theta):
 def rho_many(geom, p, thetas):
     """Vectorised rho on (0, pi]."""
     n = geom.n
-    thetas = np.asarray(thetas, dtype=float)
-    if not (np.isfinite(thetas).all() and (thetas > 0.0).all() and (thetas <= math.pi).all()):
+    thetas = _finite_array("theta", thetas)
+    if not ((thetas > 0.0).all() and (thetas <= math.pi).all()):
         raise DomainError("theta must lie in (0, pi]")
     _, prof = _cap_eta_profile(n, p, geom.a_star)
     # T < a_star, so eta_truncated_many is already on its plateau outside the cap
     return (p - 1.0) / (n - p) * eta_truncated_many(prof, thetas)
-
-
-def rho_asymptotic_check(geom, p, t):
-    """t * rho(t); tends to 1 as t -> 0, matching the flat singularity 1/|x|."""
-    if not 0.0 < t < geom.a_star / 10.0:
-        raise DomainError(f"t must lie in (0, a_star/10), got {t}")
-    return t * rho_star(geom, p, t)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +298,11 @@ def verify_sphere_theorem(geom, p, u):
     For radial u the gradient is the theta-derivative and both sides
     reduce to weighted line integrals; since
     ((n-p)/p)^p * rho^p = ((p-1)/p)^p * eta_T^p, the quotient is the 1-D
-    truncated quotient rescaled by ((n-p)/(p-1))^p.
+    truncated quotient rescaled by ((n-p)/(p-1))^p.  Raises
+    ``ParameterError`` when u lives on another geometry.
     """
+    if u.geometry != geom:
+        raise ParameterError("profile geometry does not match")
     n = geom.n
     w, prof = _cap_eta_profile(n, p, geom.a_star)
     rep = hardy_quotient(w, prof, u.grid, truncated=True)
@@ -408,6 +408,7 @@ def check_polya_szego_radial(geom, q, u):
     """Polya-Szego for radial cap profiles: symmetrisation does not
     increase the q-Dirichlet energy.  Returns ``(lhs, rhs)``; raises if
     lhs < rhs - POLYA_SZEGO_TOL."""
+    q = _finite("q", q)
     if q < 1:
         raise DomainError(f"q must be >= 1, got {q}")
     if u.geometry != geom:

@@ -96,13 +96,6 @@ class Weight:
             return t ** self.growth_exponent
         return np.sin(t) ** (self.n - 1)
 
-    def dphi(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == POWER:
-            e = self.growth_exponent
-            return e * t ** (e - 1.0)
-        return (self.n - 1) * np.sin(t) ** (self.n - 2) * np.cos(t)
-
     def log_phi_dd(self, t):
         """Second derivative of log(phi); negative iff phi is log-concave."""
         t = np.asarray(t, dtype=float)
@@ -125,6 +118,21 @@ def _finite(name, value):
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value}")
     return value
+
+
+def _finite_array(name, values):
+    """``values`` as a float array, the array form of ``_finite``.
+    Booleans, integers and floats pass; strings, None and other objects
+    raise ``ParameterError`` rather than being converted, and NaN or an
+    infinity raises ``DomainError`` naming the first one."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        raise ParameterError(f"{name} must be real numbers, got dtype {values.dtype}")
+    values = values.astype(float, copy=False)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise DomainError(f"{name} must be finite, got {float(values[~finite][0])!r}")
+    return values
 
 
 def make_power_weight(p, delta, a):

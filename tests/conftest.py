@@ -1,10 +1,13 @@
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 
+from hardycap.eta import eta_many
 from hardycap.sphere import _merged_layers
+from hardycap.weights import SINE
 
 #: the package source, which a child interpreter must be able to import
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -17,6 +20,17 @@ def run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def riccati_residual(w, t, h):
+    """|eta (log phi)' + (p-1) eta_h' - (p-1) eta**2| at t, the residual of
+    the Riccati identity, with eta_h' the central difference of step h:
+    O(h**2) for exact eta.  (log phi)' is taken in closed form,
+    (p-1+delta)/t for the power family and (n-1) cot t for the sine."""
+    lo, e0, hi = eta_many(w, [t - h, t, t + h]).tolist()
+    d = (hi - lo) / (2.0 * h)
+    dlog_phi = (w.n - 1) / math.tan(t) if w.kind == SINE else w.growth_exponent / t
+    return abs(e0 * dlog_phi + (w.p - 1.0) * d - (w.p - 1.0) * e0**2)
 
 
 def distribution_function(s, t):

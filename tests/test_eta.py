@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from conftest import riccati_residual
 from hardycap.errors import DomainError, NumericalError
 from hardycap.eta import (
     ENDPOINT_GUARD,
@@ -15,7 +16,6 @@ from hardycap.eta import (
     eta_many,
     eta_truncated_many,
     find_truncation_point,
-    riccati_residual,
     tail_integral,
     tail_integrals,
 )
@@ -139,6 +139,23 @@ class TestEtaOracles:
         lo, hi = eta_bounds(w, t)
         assert lo == hi
         assert abs(lo - exact) <= 1e-15 * exact
+
+    @pytest.mark.parametrize("make,args", [
+        (make_power_weight, (2.0, 1.0, 1.0)),
+        (make_sine_weight, (3, 2.0, HALF_PI)),
+        (make_sine_weight, (200, 2.0, 3.1)),  # r underflows to 0: (0, inf)
+        (make_sine_weight, (10, 1.01, 2.0)),  # K/r overflows: hi = inf
+    ])
+    def test_bounds_take_arrays(self, make, args):
+        w = make(*args)
+        ts = w.a * np.geomspace(1e-6, 1.0 - 1e-6, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, hi = eta_bounds(w, ts)
+            pointwise = np.array([eta_bounds(w, float(t)) for t in ts])
+        assert lo.shape == hi.shape == ts.shape
+        assert_allclose(np.column_stack((lo, hi)), pointwise, rtol=1e-15)
+        assert np.all(lo >= 0.0) and np.all(lo <= hi)
 
     def test_bounds_tight_for_power(self, power211):
         # c1 = c2 = 1 collapses the sandwich to the closed form

@@ -305,6 +305,13 @@ class TestExtremalSequences:
         # continuity at T: ramp starts at the body height
         assert_allclose(v(prof.T), math.tan(prof.T) ** -0.5, rtol=1e-6)
 
+    def test_v_k_refuses_profile_of_other_weight(self, power211, sine32):
+        # the grid was built at the other weight's T
+        w, _ = sine32
+        _, prof_power = power211
+        with pytest.raises(ParameterError, match="weight"):
+            extremal_V_k(w, prof_power, 64)
+
     def test_v_k_ramp_starts_at_body_value(self):
         # the ramp is the line from the body's own value at T to 0 at ramp_end
         w = make_sine_weight(6, 2.5, 0.75 * math.pi)

@@ -1,0 +1,67 @@
+"""Every entry point that takes a number or an array of numbers refuses a
+string, None, NaN or an infinity with a ``HardyError`` subclass, never
+with a bare exception, a NaN or a value converted from a string."""
+
+import math
+
+import pytest
+
+from hardycap.errors import HardyError
+from hardycap.eta import (
+    eta,
+    eta_bounds,
+    eta_many,
+    eta_truncated_many,
+    find_truncation_point,
+    tail_integral,
+    tail_integrals,
+)
+from hardycap.halfspace import dirac_bump
+from hardycap.hardy1d import A_k_B_k, GridFunction, extremal_U_k, extremal_V_k
+from hardycap.sphere import (
+    CapGeometry,
+    SampleSet,
+    SphericalProfile,
+    cap_volume,
+    check_polya_szego_radial,
+    inverse_cap_volume,
+    rho_many,
+)
+from hardycap.weights import make_sine_weight
+
+HALF_PI = math.pi / 2
+W = make_sine_weight(3, 2.0, HALF_PI)
+GEOM = CapGeometry(3, HALF_PI)
+HAT = SphericalProfile(GEOM, GridFunction([0.0, 0.5, HALF_PI], [0.0, 1.0, 0.0]))
+
+NON_NUMBERS = ("0.5", None, math.nan, math.inf)
+#: a sequence index k is also refused at 0
+K_VALUES = NON_NUMBERS + (0,)
+
+ENTRY_POINTS = {
+    "A_k_B_k": (lambda k: A_k_B_k(W, k), K_VALUES),
+    "extremal_U_k": (lambda k: extremal_U_k(W, k), K_VALUES),
+    "extremal_V_k": (lambda k: extremal_V_k(W, find_truncation_point(W), k), K_VALUES),
+    "tail_integral": (lambda t: tail_integral(W, t), NON_NUMBERS),
+    "dirac_bump": (lambda eps: dirac_bump(eps, 2.0, 3), NON_NUMBERS),
+    "check_polya_szego_radial": (lambda q: check_polya_szego_radial(GEOM, q, HAT), NON_NUMBERS),
+    "cap_volume": (lambda alpha: cap_volume(3, alpha), NON_NUMBERS),
+    "inverse_cap_volume": (lambda volume: inverse_cap_volume(3, volume), NON_NUMBERS),
+    "rho_many": (lambda theta: rho_many(GEOM, 2.0, [theta]), NON_NUMBERS),
+    "eta": (lambda t: eta(W, t), NON_NUMBERS),
+    "eta_many": (lambda t: eta_many(W, [t]), NON_NUMBERS),
+    "eta_bounds": (lambda t: eta_bounds(W, [t]), NON_NUMBERS),
+    "eta_truncated_many": (
+        lambda t: eta_truncated_many(find_truncation_point(W), [t]), NON_NUMBERS),
+    "tail_integrals": (lambda t: tail_integrals(W, [t]), NON_NUMBERS),
+    "GridFunction": (lambda x: GridFunction([x, 1.0], [1.0, 0.0]), NON_NUMBERS),
+    "SampleSet": (lambda x: SampleSet([x], [1.0]), NON_NUMBERS),
+}
+
+
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_bad_number_raises_hardy_error(name):
+    call, bad_values = ENTRY_POINTS[name]
+    for bad in bad_values:
+        with pytest.raises(HardyError):
+            call(bad)

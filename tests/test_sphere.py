@@ -23,7 +23,6 @@ from hardycap.sphere import (
     extremal_V_hat_k,
     inverse_cap_volume,
     radial_rearrangement,
-    rho_asymptotic_check,
     rho_many,
     rho_star,
     sphere_surface_volume,
@@ -278,9 +277,10 @@ class TestRho:
         assert vals[2] == rho_star(hemi, 2.0, 2.0)
 
     def test_asymptotics(self, hemi):
-        assert abs(rho_asymptotic_check(hemi, 2.0, 1e-4) - 1.0) < 1e-2
+        # t * rho(t) -> 1 as t -> 0: the flat singularity 1/|x|
+        assert abs(1e-4 * rho_star(hemi, 2.0, 1e-4) - 1.0) < 1e-2
         geom4 = CapGeometry(n=4, a_star=1.0)
-        assert abs(rho_asymptotic_check(geom4, 2.0, 1e-5) - 1.0) < 1e-3
+        assert abs(1e-5 * rho_star(geom4, 2.0, 1e-5) - 1.0) < 1e-3
 
     def test_domain_errors(self, hemi):
         with pytest.raises(DomainError):
@@ -424,6 +424,12 @@ class TestHardyLittlewood:
         lhs, rhs = check_hardy_littlewood(s1, s2, hemi)
         assert lhs < rhs
 
+    def test_measure_mismatch_rejected(self, hemi):
+        # samples of total measure 0.2 on a cap of measure pi**2
+        s = SampleSet(np.array([1.0, 2.0]), np.array([0.1, 0.1]))
+        with pytest.raises(ParameterError, match="measure"):
+            check_hardy_littlewood(s, s, hemi)
+
     def test_mismatched_cells_rejected(self, hemi):
         s1 = SampleSet(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
         s2 = SampleSet(np.array([1.0, 2.0]), np.array([2.0, 1.0]))
@@ -452,6 +458,12 @@ class TestTheoremOnCap:
         scaled = SphericalProfile(hemi, u.grid.scaled(7.5))
         q2 = verify_sphere_theorem(hemi, 2.0, scaled).quotient
         assert_allclose(q1, q2, rtol=1e-12)
+
+    def test_other_geometry_rejected(self, hemi):
+        # a profile on the 5-sphere gave a quotient on the 3-sphere
+        u = extremal_V_hat_k(CapGeometry(5, HALF_PI), 2.0, 64)
+        with pytest.raises(ParameterError, match="geometry"):
+            verify_sphere_theorem(hemi, 2.0, u)
 
     @pytest.mark.parametrize("n,p", [(3, 2.0), (4, 2.0), (4, 3.0)])
     def test_random_profiles_lower_bound(self, n, p):

@@ -15,7 +15,6 @@ class TestPowerWeight:
         w = make_power_weight(2.0, 1.0, 1.0)
         ts = np.array([0.1, 0.5, 0.9])
         assert_allclose(w.phi(ts), ts**2, rtol=1e-15)
-        assert_allclose(w.dphi(ts), 2.0 * ts, rtol=1e-15)
         assert w.growth_exponent == 2.0
         assert w.c1 == 1.0 and w.c2 == 1.0
 
@@ -38,7 +37,6 @@ class TestSineWeight:
         w = make_sine_weight(3, 2.0, math.pi / 2)
         ts = np.array([0.2, 1.0, 1.5])
         assert_allclose(w.phi(ts), np.sin(ts) ** 2, rtol=1e-15)
-        assert_allclose(w.dphi(ts), 2.0 * np.sin(ts) * np.cos(ts), rtol=1e-14)
         assert w.delta == 1.0
 
     def test_growth_constants_bracket_ratio(self):
