@@ -132,7 +132,9 @@ def _test_function(args, w, prof):
 
 def _cmd_quotient(args):
     w = _build_weight(args)
-    prof = find_truncation_point(w)
+    # T is read by the truncated weight and the V_k ramp only
+    needs_T = args.truncated or args.function == "vk"
+    prof = find_truncation_point(w) if needs_T else None
     u = _test_function(args, w, prof)
     rep = hardy_quotient(w, prof, u, truncated=args.truncated)
     header = ["numerator", "denominator", "quotient", "sharp_constant", "margin"]
@@ -142,7 +144,7 @@ def _cmd_quotient(args):
 
 def _cmd_sharpness_1d(args):
     w = _build_weight(args)
-    prof = find_truncation_point(w)
+    prof = find_truncation_point(w) if args.truncated else None
     rows = convergence_study(w, prof, args.ks, truncated=args.truncated)
     _emit(args, _meta(args), ["k", "quotient", "margin"], [list(r) for r in rows])
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, ParameterError
 from .quadrature import check_resolved, integrate, segment_integrals
 from .weights import Weight, _finite, _finite_array
 
@@ -31,8 +31,15 @@ GOLDEN_TOL = 1e-10
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio reciprocal
 
 
+def _points(ts):
+    """``ts`` as a finite 1-D float array of points."""
+    ts = _finite_array("ts", ts)
+    if ts.ndim != 1:
+        raise ParameterError(f"ts must be a 1-D array of points, got shape {ts.shape}")
+    return ts
+
+
 def _check_interior(w, t):
-    t = _finite_array("t", t)
     if not ((t >= w.a * ENDPOINT_GUARD).all() and (t <= w.a * (1.0 - ENDPOINT_GUARD)).all()):
         raise DomainError(
             f"t must lie in ({w.a * ENDPOINT_GUARD:.3e}, {w.a * (1 - ENDPOINT_GUARD):.6g})"
@@ -60,48 +67,64 @@ def tail_integrals(w, ts):
     A single cumulative sweep: the integrand is integrated over each
     segment between consecutive points and suffix-summed, so the cost is
     linear in the number of points.  Raises ``DomainError`` as
-    ``tail_integral`` does, at the first point.
+    ``tail_integral`` does, at the first point, and ``NumericalError``
+    naming the first point whose tail integral overflows (where
+    ``phi**(-1/(p-1))`` does), without a RuntimeWarning.
     """
-    ts = _finite_array("ts", ts)
+    ts = _points(ts)
     if ts.size:
         check_resolved(float(ts[0]), w.a, w.singular_points)
     pts = np.append(ts, w.a)
-    seg = segment_integrals(w.inv_phi_pow, pts, singular=w.singular_points)
-    return np.cumsum(seg[::-1])[::-1]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        seg = segment_integrals(w.inv_phi_pow, pts, singular=w.singular_points)
+        tails = np.cumsum(seg[::-1])[::-1]
+    bad = np.flatnonzero(~np.isfinite(tails))
+    if len(bad):
+        raise NumericalError(
+            f"the tail integral of phi**(-1/(p-1)) is not finite at "
+            f"t={float(ts[bad[0]])!r}: I(t) = {float(tails[bad[0]])!r}")
+    return tails
 
 
 def _not_finite(t, inv_phi, tail):
     return NumericalError(
-        f"eta_a is not finite at t={float(t)!r}: phi**(-1/(p-1)) = "
+        f"eta_a is not finite and positive at t={float(t)!r}: phi**(-1/(p-1)) = "
         f"{float(inv_phi)!r} over its tail integral {float(tail)!r}"
     )
 
 
 def eta(w, t):
-    """The weight eta_a at a single point."""
-    _check_interior(w, t)
-    inv_phi, tail = float(w.inv_phi_pow(t)), tail_integral(w, t)
-    value = inv_phi / tail
-    if not math.isfinite(value):
+    """The weight eta_a at a single point.
+
+    Raises ``NumericalError`` where ``phi**(-1/(p-1))`` or its tail
+    integral overflows (or underflows), without a RuntimeWarning.
+    """
+    _check_interior(w, _finite_array("t", t))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        inv_phi, tail = float(w.inv_phi_pow(t)), tail_integral(w, t)
+    value = inv_phi / tail if tail else math.inf
+    if not 0.0 < value < math.inf:
         raise _not_finite(t, inv_phi, tail)
     return value
 
 
 def eta_many(w, ts):
-    """Vectorised eta_a; ``ts`` need not be sorted, and a repeated point
-    is a zero-width segment of the one tail sweep.
+    """Vectorised eta_a; ``ts`` is a 1-D array that need not be sorted, and
+    a repeated point is a zero-width segment of the one tail sweep.
 
     Raises ``NumericalError`` naming the smallest t where eta_a is not
-    finite, which happens when ``phi**(-1/(p-1))`` overflows; that
-    overflow becomes the error, not a RuntimeWarning.
+    finite and positive, which happens when ``phi**(-1/(p-1))`` or its tail
+    integral overflows; that overflow becomes the error, not a
+    RuntimeWarning.
     """
-    ts = _check_interior(w, ts)
+    ts = _check_interior(w, _points(ts))
     order = np.argsort(ts, kind="stable")
     sorted_ts = ts[order]
+    tails = tail_integrals(w, sorted_ts)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        inv_phi, tails = w.inv_phi_pow(sorted_ts), tail_integrals(w, sorted_ts)
+        inv_phi = w.inv_phi_pow(sorted_ts)
         vals = inv_phi / tails
-    bad = np.flatnonzero(~np.isfinite(vals))
+    bad = np.flatnonzero(~((vals > 0.0) & (vals < np.inf)))
     if len(bad):
         raise _not_finite(sorted_ts[bad[0]], inv_phi[bad[0]], tails[bad[0]])
     out = np.empty_like(ts)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, ParameterError
+from .errors import DegenerateInputError, DomainError, NumericalError, ParameterError
 from .eta import ENDPOINT_GUARD, tail_integral, tail_integrals
 from .quadrature import node_tail_integrals, panel_nodes, refine_breakpoints
 from .weights import _finite, _finite_array
@@ -88,6 +88,12 @@ def sharp_constant(p):
     return ((p - 1.0) / p) ** p
 
 
+def _check_profile(w, prof, needed=True):
+    """Refuse a profile of another weight, and a missing one where T is read."""
+    if (prof is None and needed) or (prof is not None and prof.weight != w):
+        raise ParameterError("pass this weight's profile, from find_truncation_point")
+
+
 def _panel_edges(w, breakpoints, coarse):
     """``refine_breakpoints`` over the breakpoints, honouring the weight's
     singularities and the endpoint a, where eta diverges."""
@@ -111,16 +117,17 @@ def _sweep(w, pts):
     return x, wts, phi, inv_phi, at_nodes + beyond, at_edges + beyond
 
 
-def _quotient_edges(prof, u):
+def _quotient_edges(w, u, T=None):
     """Panel edges of the quotient's quadrature over a grid's support.
 
     One panel per grid cell, refined only towards the singular points:
     u is linear on a cell, so the integrands are smooth there except at
     a root of u, where |u|**p is only C**p.  Panel edges are graded
     towards every root next to a nonzero value: a sign change inside a
-    cell, or an interior node where u is exactly 0.
+    cell, or an interior node where u is exactly 0.  The truncated
+    quotient passes T, the kink of eta_aT.
     """
-    a = prof.weight.a
+    a = w.a
     guard_lo = a * ENDPOINT_GUARD
     guard_hi = a * (1.0 - ENDPOINT_GUARD)
     nodes, values = u.nodes, u.values
@@ -136,10 +143,11 @@ def _quotient_edges(prof, u):
     lo, hi = nodes[np.concatenate((i, j - 1)), None], nodes[np.concatenate((i + 1, j + 1)), None]
     near_roots = np.concatenate((root - (root - lo) * ROOT_GRADING,
                                  root + (hi - root) * ROOT_GRADING), axis=None)
-    # interior breakpoints: the nodes, T (kink of eta_T), guards
+    # interior breakpoints: the nodes, T if given, guards
     interior = nodes[nodes > guard_lo]
-    bp = np.concatenate(([max(nodes[0], guard_lo)], interior, near_roots, [prof.T]))
-    return _panel_edges(prof.weight, np.unique(np.clip(bp, guard_lo, guard_hi)), coarse=1)[0]
+    bp = np.concatenate(([max(nodes[0], guard_lo)], interior, near_roots,
+                         [] if T is None else [T]))
+    return _panel_edges(w, np.unique(np.clip(bp, guard_lo, guard_hi)), coarse=1)[0]
 
 
 def hardy_quotient(w, prof, u, truncated=False):
@@ -148,12 +156,12 @@ def hardy_quotient(w, prof, u, truncated=False):
     The numerator is exact per cell up to the phi quadrature (|u'| is
     constant on each cell); the denominator integrates |u|^p eta^p phi on
     one Gauss panel per cell, refined towards the singular points and
-    graded towards the roots of u.  The panels start at min(t0, T), where
-    eta_aT = eta, and the constant head before them goes through the
-    closed-form primitive I**(1-p)/(p-1) of eta^p phi.
+    graded towards the roots of u.  The panels start at t0, or at
+    min(t0, T) when truncated, where eta_aT = eta, and the constant head
+    before them goes through the closed-form primitive I**(1-p)/(p-1) of
+    eta^p phi.  prof may be None when not truncated, with the same result.
     """
-    if prof.weight != w:
-        raise ParameterError("profile was not built from this weight")
+    _check_profile(w, prof, truncated)
     nodes, values = u.nodes, u.values
     a, p = w.a, w.p
     if abs(nodes[-1] - a) > 1e-14 * max(a, 1.0):
@@ -161,15 +169,19 @@ def hardy_quotient(w, prof, u, truncated=False):
     if np.all(values == 0.0):
         raise DegenerateInputError("grid function is identically zero")
 
-    pts = _quotient_edges(prof, u)
-    x, wts, phi_vals, inv_phi, tails, edge_tails = _sweep(w, pts)
-    eta_vals = inv_phi / tails
-    if truncated:
-        eta_vals = np.where(x > prof.T, prof.eta_at_T, eta_vals)
-
-    denominator = float(np.sum((np.abs(u(x)) * eta_vals) ** p * phi_vals * wts))
-    # head [0, pts[0]], pts[0] = min(t0, T): u = u(t0) and eta_aT = eta there
-    denominator += abs(values[0]) ** p * edge_tails[0] ** (1.0 - p) / (p - 1.0)
+    pts = _quotient_edges(w, u, prof.T if truncated else None)
+    # phi**(-1/(p-1)) overflows next to 0 on steep weights: raised, not warned
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x, wts, phi_vals, inv_phi, tails, edge_tails = _sweep(w, pts)
+        eta_vals = inv_phi / tails
+        if truncated:
+            eta_vals = np.where(x > prof.T, prof.eta_at_T, eta_vals)
+        denominator = float(np.sum((np.abs(u(x)) * eta_vals) ** p * phi_vals * wts))
+        # head [0, pts[0]], pts[0] <= t0 (and <= T): u = u(t0) and eta_aT = eta there
+        denominator += abs(values[0]) ** p * edge_tails[0] ** (1.0 - p) / (p - 1.0)
+    if not np.isfinite(denominator):
+        raise NumericalError(
+            f"the denominator is not finite: eta_a overflows from t={float(pts[0])!r}")
     if denominator < 1e-300:
         raise DegenerateInputError("denominator vanished; degenerate input")
 
@@ -240,10 +252,9 @@ def extremal_V_k(w, prof, k):
 
     so the margin tends to zero only like 1/log k.  For n=3, p=2, a=pi/2
     (I(t) = cot t, T = pi/4) this is margin = 1.420021/(L_k + 1.312158).
-    Raises ``ParameterError`` when prof was built from another weight.
+    Raises ``ParameterError`` when prof is None or of another weight.
     """
-    if prof.weight != w:
-        raise ParameterError("profile was not built from this weight")
+    _check_profile(w, prof)
     k = _finite("k", k)
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")
@@ -300,8 +311,9 @@ def convergence_study(w, prof, ks, truncated=False):
     (E - c*(1/(p-1) + D)) / (L_k + 1/(p-1) + D) with
     L_k = log(I(1/k)/I(T)) and k-independent ramp terms E, D (see
     ``extremal_V_k``); the grid reproduces it up to a sampling error that
-    falls like GRID_SIZE**-2.
+    falls like GRID_SIZE**-2.  prof may be None for the full sequence.
     """
+    _check_profile(w, prof, truncated)
     rows = []
     for k in sorted(ks):
         u = extremal_V_k(w, prof, k) if truncated else extremal_U_k(w, k)

@@ -189,7 +189,7 @@ def segment_integrals(f, breakpoints, singular=()):
     pts, counts = refine_breakpoints(breakpoints, singular, coarse=1)
     x, w = panel_nodes(pts)
     per_panel = np.sum(f(x) * w, axis=1)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    starts = np.cumsum(counts) - counts
     return np.add.reduceat(per_panel, starts)
 
 

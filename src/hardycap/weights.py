@@ -111,10 +111,14 @@ class Weight:
 def _finite(name, value):
     """``value`` as a finite float.  Strings, None and other non-numbers
     raise ``ParameterError`` rather than being converted; NaN and the
-    infinities raise ``DomainError``, as non-finite points do elsewhere."""
+    infinities raise ``DomainError``, as non-finite points do elsewhere, and
+    so does an integer too large for a float."""
     if not isinstance(value, numbers.Real):
         raise ParameterError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise DomainError(f"{name} must be finite, got an integer too large for a float") from None
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value}")
     return value

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import run_python
 from hardycap.cli import build_parser, main
+from hardycap.eta import find_truncation_point
 
 HALF_PI = "1.5707963267948966"
 
@@ -96,6 +97,41 @@ class TestExitCodes:
         assert main([command, "--weight", "power", *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "must be finite" in captured.err
+
+
+class TestTruncationPointOnlyWhereRead:
+    """T is found for the truncated weight and the V_k ramp, and only there."""
+
+    WEIGHT = ["--weight", "sine", "--n", "3", "--p", "2", "--a", HALF_PI]
+
+    def test_find_truncation_point_calls(self, monkeypatch, capsys):
+        calls = []
+
+        def spy(w):
+            calls.append(w)
+            return find_truncation_point(w)
+
+        monkeypatch.setattr("hardycap.cli.find_truncation_point", spy)
+        for argv, reads_T in [
+            (["quotient", *self.WEIGHT, "--function", "hat"], False),
+            (["quotient", *self.WEIGHT, "--function", "uk"], False),
+            (["sharpness-1d", *self.WEIGHT, "--ks", "16,64"], False),
+            (["quotient", *self.WEIGHT, "--function", "hat", "--truncated"], True),
+            (["quotient", *self.WEIGHT, "--function", "vk"], True),
+            (["sharpness-1d", *self.WEIGHT, "--ks", "16,64", "--truncated"], True),
+        ]:
+            calls.clear()
+            assert main(argv) == 0
+            assert len(calls) == reads_T, argv
+        capsys.readouterr()
+
+    def test_overflowing_weight_exits_3(self, capsys):
+        # t**-40 overflows at the quotient's panels next to 0: this printed nan
+        argv = ["quotient", "--weight", "power", "--p", "1.2", "--delta", "7.8",
+                "--a", "1", "--function", "hat"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "denominator is not finite" in captured.err
 
 
 class TestOutputFile:

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from conftest import riccati_residual
-from hardycap.errors import DomainError, NumericalError
+from hardycap.errors import DomainError, NumericalError, ParameterError
 from hardycap.eta import (
     ENDPOINT_GUARD,
     eta,
@@ -195,6 +195,39 @@ class TestNotFinite:
         # RuntimeWarning before the NumericalError
         with pytest.raises(NumericalError, match="= inf"):
             find_truncation_point(make(*args))
+
+
+class TestTailOverflow:
+    """sin(t)**-199 overflows next to a = 3.13, so every tail integral is
+    inf: eta_a there was inf/inf = 0, with RuntimeWarnings from the scalar
+    path."""
+
+    W = make_sine_weight(200, 2.0, 3.13)
+
+    def test_no_zero_eta(self):
+        with pytest.raises(NumericalError, match=r"t=1\.0\b.*= inf"):
+            eta_many(self.W, [1.5, 1.0])
+        with pytest.raises(NumericalError, match=r"t=1\.0\b.*over its tail integral inf"):
+            eta(self.W, 1.0)
+        with pytest.raises(NumericalError, match=r"t=1\.5\b.*= inf"):
+            tail_integrals(self.W, [1.5, 2.0])
+
+
+class TestPointArrays:
+    """eta_many and tail_integrals take a 1-D array of points."""
+
+    def test_empty(self, sine32):
+        for f in (eta_many, tail_integrals):
+            out = f(sine32, [])
+            assert out.shape == (0,) and out.dtype == np.float64
+
+    @pytest.mark.parametrize("ts,shape", [(0.5, r"\(\)"), ([[0.5, 1.0]], r"\(1, 2\)")],
+                             ids=["0-d", "2-D"])
+    def test_not_one_dimensional(self, sine32, ts, shape):
+        # a bare IndexError or TypeError escaped from the tail sweep
+        for f in (eta_many, tail_integrals):
+            with pytest.raises(ParameterError, match=f"1-D.*shape {shape}"):
+                f(sine32, ts)
 
 
 class TestNonFiniteInput:

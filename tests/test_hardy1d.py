@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import IntegrationWarning, quad
 
 from hardycap import hardy1d
-from hardycap.errors import DegenerateInputError, DomainError, ParameterError
+from hardycap.errors import DegenerateInputError, DomainError, NumericalError, ParameterError
 from hardycap.eta import ENDPOINT_GUARD, find_truncation_point
 from hardycap.hardy1d import (
     A_k_B_k,
@@ -105,6 +105,39 @@ class TestHatOracle:
         u = GridFunction(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.0]))
         with pytest.raises(ParameterError):
             hardy_quotient(w, prof_sine, u)
+
+    def test_overflow_raises(self):
+        # phi**(-1/(p-1)) = t**-40 overflows below t = 2e-8, past T's
+        # bracket but inside the quotient's panels: this returned nan
+        w = make_power_weight(1.2, 7.8, 1.0)
+        u = GridFunction(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.0]))
+        with pytest.raises(NumericalError, match="denominator is not finite"):
+            hardy_quotient(w, find_truncation_point(w), u)
+
+
+class TestProfileOnlyWhereRead:
+    """The untruncated quotient does not read T: prof may be None."""
+
+    @pytest.mark.parametrize("make,args", [
+        (make_power_weight, (2.5, 0.5, 1.0)),
+        (make_sine_weight, (5, 2.5, 3 * math.pi / 4)),
+    ])
+    def test_no_profile_same_bits(self, make, args):
+        w = make(*args)
+        prof = find_truncation_point(w)
+        hat = GridFunction(np.array([0.0, w.a / 2, w.a]), np.array([0.0, 1.0, 0.0]))
+        for u in (hat, extremal_U_k(w, 16), extremal_U_k(w, 1024)):
+            assert hardy_quotient(w, None, u) == hardy_quotient(w, prof, u)
+        assert convergence_study(w, None, [16, 64]) == convergence_study(w, prof, [16, 64])
+
+    def test_truncated_needs_profile(self, sine32):
+        w, prof = sine32
+        with pytest.raises(ParameterError, match="find_truncation_point"):
+            hardy_quotient(w, None, extremal_V_k(w, prof, 64), truncated=True)
+        with pytest.raises(ParameterError, match="find_truncation_point"):
+            convergence_study(w, None, [16], truncated=True)
+        with pytest.raises(ParameterError, match="find_truncation_point"):
+            extremal_V_k(w, None, 16)
 
 
 def _quad_quotient(p, eta, nodes, values, head, g=1.0, kinks=()):
@@ -409,7 +442,7 @@ class TestNodeTails:
     def test_closed_form_at_every_node(self, make, args, closed):
         w = make(*args)
         prof = find_truncation_point(w)
-        pts = _quotient_edges(prof, extremal_V_k(w, prof, 4096))
+        pts = _quotient_edges(w, extremal_V_k(w, prof, 4096), prof.T)
         x, _, _, _, tails, edge_tails = _sweep(w, pts)
         assert np.any(w.a - x < 1e-11 * w.a)  # nodes right next to a are covered
         assert_allclose(tails, closed(x, w.a), rtol=1e-12)

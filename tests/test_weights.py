@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hardycap.errors import NumericalError, ParameterError
+from hardycap.errors import DomainError, NumericalError, ParameterError
+from hardycap.hardy1d import extremal_U_k
 from hardycap.weights import Weight, make_power_weight, make_sine_weight, validate_weight
 
 
@@ -114,6 +115,13 @@ class TestConstructionChecks:
     def test_make_power_weight_non_finite(self, p, delta, a):
         with pytest.raises(ParameterError):
             make_power_weight(p, delta, a)
+
+    def test_integer_too_large_for_a_float(self):
+        # float(10**400) escaped as a bare OverflowError
+        with pytest.raises(DomainError, match="p must be finite"):
+            make_power_weight(10**400, 1.0, 1.0)
+        with pytest.raises(DomainError, match="k must be finite"):
+            extremal_U_k(make_power_weight(2.0, 1.0, 1.0), 10**400)
 
     @pytest.mark.parametrize("make,args,name", [
         (make_power_weight, ("2", 1.0, 1.0), "p"),
