@@ -39,12 +39,16 @@ def _points(ts):
     return ts
 
 
-def _check_interior(w, t):
-    if not ((t >= w.a * ENDPOINT_GUARD).all() and (t <= w.a * (1.0 - ENDPOINT_GUARD)).all()):
-        raise DomainError(
-            f"t must lie in ({w.a * ENDPOINT_GUARD:.3e}, {w.a * (1 - ENDPOINT_GUARD):.6g})"
-        )
-    return t
+def _outside(w):
+    return DomainError(
+        f"t must lie in ({w.a * ENDPOINT_GUARD:.3e}, {w.a * (1 - ENDPOINT_GUARD):.6g})"
+    )
+
+
+def _tail_not_finite(t, tail):
+    return NumericalError(
+        f"the tail integral of phi**(-1/(p-1)) is not finite at t={float(t)!r}: "
+        f"I(t) = {float(tail)!r}")
 
 
 def tail_integral(w, t):
@@ -52,13 +56,19 @@ def tail_integral(w, t):
 
     Raises ``DomainError`` where the quadrature cannot resolve the weight's
     singular points from t (t below 1e-15 * max(a, 1) next to 0); the point
-    a * ENDPOINT_GUARD stays legal for a >= 1e-3.
+    a * ENDPOINT_GUARD stays legal for a >= 1e-3.  Raises ``NumericalError``
+    naming t where the integral overflows (where ``phi**(-1/(p-1))``
+    does), without a RuntimeWarning.
     """
     t = _finite("t", t)
     if not 0.0 < t < w.a:
         raise DomainError(f"t must lie in (0, {w.a}), got {t}")
     check_resolved(t, w.a, w.singular_points)
-    return integrate(w.inv_phi_pow, t, w.a, singular=w.singular_points)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        tail = integrate(w.inv_phi_pow, t, w.a, singular=w.singular_points)
+    if not math.isfinite(tail):
+        raise _tail_not_finite(t, tail)
+    return tail
 
 
 def tail_integrals(w, ts):
@@ -80,9 +90,7 @@ def tail_integrals(w, ts):
         tails = np.cumsum(seg[::-1])[::-1]
     bad = np.flatnonzero(~np.isfinite(tails))
     if len(bad):
-        raise NumericalError(
-            f"the tail integral of phi**(-1/(p-1)) is not finite at "
-            f"t={float(ts[bad[0]])!r}: I(t) = {float(tails[bad[0]])!r}")
+        raise _tail_not_finite(ts[bad[0]], tails[bad[0]])
     return tails
 
 
@@ -99,9 +107,15 @@ def eta(w, t):
     Raises ``NumericalError`` where ``phi**(-1/(p-1))`` or its tail
     integral overflows (or underflows), without a RuntimeWarning.
     """
-    _check_interior(w, _finite_array("t", t))
+    t = _finite("t", t)
+    if not w.a * ENDPOINT_GUARD <= t <= w.a * (1.0 - ENDPOINT_GUARD):
+        raise _outside(w)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        inv_phi, tail = float(w.inv_phi_pow(t)), tail_integral(w, t)
+        inv_phi = float(w.inv_phi_pow(t))
+    try:
+        tail = tail_integral(w, t)
+    except NumericalError as err:  # the tail integral overflows
+        raise _not_finite(t, inv_phi, math.inf) from err
     value = inv_phi / tail if tail else math.inf
     if not 0.0 < value < math.inf:
         raise _not_finite(t, inv_phi, tail)
@@ -117,7 +131,9 @@ def eta_many(w, ts):
     integral overflows; that overflow becomes the error, not a
     RuntimeWarning.
     """
-    ts = _check_interior(w, _points(ts))
+    ts = _points(ts)
+    if not ((ts >= w.a * ENDPOINT_GUARD).all() and (ts <= w.a * (1.0 - ENDPOINT_GUARD)).all()):
+        raise _outside(w)
     order = np.argsort(ts, kind="stable")
     sorted_ts = ts[order]
     tails = tail_integrals(w, sorted_ts)

@@ -15,7 +15,12 @@ breakpoints).  Two layouts are pinned bit for bit, with at least
 
 * ``integrate`` (and so ``eta.tail_integral``): the golden-section
   truncation point T is built from its one-segment integrals and moves by
-  up to 1.6e-8 under one-ulp changes in them;
+  up to 1.6e-8 under one-ulp changes in them.  ``integrate`` marches its
+  one segment with ``_march`` directly, without the array set-up of
+  ``refine_breakpoints``.  Its edges are the same bits: fewer than
+  ``LOCKSTEP_MIN`` segments go from ``refine_breakpoints`` to the same
+  ``_march``, with a base, stop and floor from the same float64
+  operations on the same ends;
 * ``hardy1d.A_k_B_k``: its body panels next to the endpoint guard carry a
   node-rounding artefact in B_k that perfbench/reference.json pins to 1e-9.
 
@@ -60,6 +65,15 @@ WIDTH_FLOOR = 1e-15
 LOCKSTEP_MIN = 8
 
 
+def _check_finite(values):
+    """Raise ``DomainError`` at the first breakpoint or singular point that
+    is not finite: a NaN or infinite edge, or a NaN panel width, would
+    never reach its stop, and the march would run forever."""
+    for x in values:
+        if not math.isfinite(x):
+            raise DomainError(f"breakpoints and singular points must be finite, got {x!r}")
+
+
 def _march(cur, base, hi, stop, singular, floor):
     """Panel edges of one segment after ``cur``, one panel at a time."""
     edges = []
@@ -96,14 +110,11 @@ def refine_breakpoints(breakpoints, singular=(), coarse=8):
     lo, hi = breakpoints[:-1], breakpoints[1:]
     span = hi - lo
     first, last = float(breakpoints[0]), float(breakpoints[-1])
-    # a NaN or infinite edge, or a NaN panel width, would never reach its
-    # stop.  Non-decreasing breakpoints with finite ends are finite, and a
-    # NaN fails span >= 0, so one reduction checks both
+    # non-decreasing breakpoints with finite ends are finite, and a NaN
+    # fails span >= 0, so one reduction checks both
     if not ((span >= 0.0).all() and -math.inf < first and last < math.inf
             and all(map(math.isfinite, singular))):
-        bad = [x for x in (*breakpoints.tolist(), *singular) if not math.isfinite(x)]
-        if bad:
-            raise DomainError(f"breakpoints and singular points must be finite, got {bad[0]!r}")
+        _check_finite((*breakpoints.tolist(), *singular))
         i = int(np.argmin(span >= 0.0))
         raise DomainError(
             f"breakpoints must not decrease, got {float(hi[i])!r} after {float(lo[i])!r}")
@@ -151,7 +162,7 @@ def check_resolved(lo, hi, singular):
     rule loses the integrand: an integral of t**-2 from floor/5 is off by
     3e-11, from floor/100 by 2.6e-2 (from 1e-20: 5.4e17 for 1e20).  From
     floor/2 on it is exact to rounding.  A NaN end passes on to
-    ``refine_breakpoints``.
+    ``refine_breakpoints`` or ``integrate``, which raise.
     """
     floor = WIDTH_FLOOR * max(abs(lo), abs(hi), 1.0)
     for s in singular:
@@ -176,11 +187,19 @@ def panel_nodes(points):
 
 
 def integrate(f, lo, hi, singular=()):
-    """Integrate a vectorised callable over [lo, hi]."""
+    """Integrate a vectorised callable over [lo, hi].
+
+    Its one segment is marched in Python floats, with the edges of
+    ``refine_breakpoints([lo, hi], singular, coarse=8)``, bit for bit.
+    Raises ``DomainError`` on an end or singular point that is not finite.
+    """
+    lo, hi = float(lo), float(hi)
+    _check_finite((lo, hi, *singular))
     if hi <= lo:
         return 0.0
-    pts, _ = refine_breakpoints(np.array([lo, hi]), singular, coarse=8)
-    x, w = panel_nodes(pts)
+    scale = max(abs(lo), abs(hi), 1.0)
+    edges = _march(lo, (hi - lo) / 8, hi, hi - 1e-16 * scale, singular, WIDTH_FLOOR * scale)
+    x, w = panel_nodes(np.array([lo, *edges]))
     return float(np.sum(f(x) * w))
 
 

@@ -147,7 +147,8 @@ def make_power_weight(p, delta, a):
 def _dimension(n, least=2):
     """``n`` as an int >= ``least``; integral floats and numpy integers
     pass.  Other values raise ``ParameterError`` rather than being
-    truncated, and integers below ``least`` raise ``DomainError``."""
+    truncated; integers below ``least`` raise ``DomainError``, and so does
+    an integer too large for a float, as in ``_finite``."""
     try:
         whole = int(n)
     except (TypeError, ValueError, OverflowError):
@@ -156,6 +157,7 @@ def _dimension(n, least=2):
         raise ParameterError(f"n must be an integer >= {least}, got {n!r}")
     if whole < least:
         raise DomainError(f"n must be an integer >= {least}, got {n!r}")
+    _finite("n", whole)
     return whole
 
 

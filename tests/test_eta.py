@@ -1,3 +1,4 @@
+import importlib
 import math
 import warnings
 
@@ -8,8 +9,10 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from conftest import riccati_residual
+from hardycap import quadrature
 from hardycap.errors import DomainError, NumericalError, ParameterError
 from hardycap.eta import (
+    BRACKET_GRID,
     ENDPOINT_GUARD,
     eta,
     eta_bounds,
@@ -22,6 +25,8 @@ from hardycap.eta import (
 from hardycap.weights import make_power_weight, make_sine_weight
 
 HALF_PI = math.pi / 2
+#: the module; ``hardycap.eta`` is also the name of the function
+eta_module = importlib.import_module("hardycap.eta")
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +217,13 @@ class TestTailOverflow:
         with pytest.raises(NumericalError, match=r"t=1\.5\b.*= inf"):
             tail_integrals(self.W, [1.5, 2.0])
 
+    def test_scalar_tail_integral(self):
+        # this returned inf, with "divide by zero encountered in power"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"t=1\.0\b.*= inf"):
+                tail_integral(self.W, 1.0)
+
 
 class TestPointArrays:
     """eta_many and tail_integrals take a 1-D array of points."""
@@ -322,3 +334,24 @@ class TestTruncation:
         ts = np.linspace(0.01, HALF_PI - 0.01, 400)
         vals = eta_truncated_many(prof, ts)
         assert np.all(np.diff(vals) <= 1e-10)
+
+    @pytest.mark.parametrize("w", [make_sine_weight(3, 2.0, HALF_PI),
+                                   make_power_weight(2.0, 1.0, 1.0)], ids=["sine", "power"])
+    def test_one_refinement_per_search(self, w, monkeypatch):
+        # the bracket sweep refines its 256 points in one call; each
+        # golden-section eta integrates one segment without refine_breakpoints
+        def spy(module, name):
+            real, calls = getattr(module, name), []
+
+            def counted(*args, **kwargs):
+                calls.append(args)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+            return calls
+
+        refines = spy(quadrature, "refine_breakpoints")
+        integrals, etas = spy(eta_module, "integrate"), spy(eta_module, "eta")
+        find_truncation_point(w)
+        assert len(refines) == 1 and len(refines[0][0]) == BRACKET_GRID + 1
+        assert len(etas) > 40 and len(integrals) == len(etas)

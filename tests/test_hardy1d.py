@@ -381,6 +381,15 @@ class TestExtremalSequences:
         _, b_4096 = A_k_B_k(w, 4096)
         assert_allclose(b_4096 - b_256, math.log(4096 / 256), rtol=1e-4)
 
+    def test_a_k_overflow_raises(self):
+        # I(a*1e-12) of t**-40 overflows: this warned and returned A_k at
+        # its limit 1/(p-1)
+        w = make_power_weight(1.2, 7.8, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"t=1e-12\b.*= inf"):
+                A_k_B_k(w, 16)
+
 
 class TestLargeK:
     """Extremal grids and A_k_B_k refuse the k they cannot resolve."""

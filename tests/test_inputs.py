@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from hardycap.errors import HardyError
+from hardycap.errors import DomainError, HardyError
 from hardycap.eta import (
     eta,
     eta_bounds,
@@ -27,7 +27,7 @@ from hardycap.sphere import (
     inverse_cap_volume,
     rho_many,
 )
-from hardycap.weights import make_sine_weight
+from hardycap.weights import SINE, Weight, make_sine_weight
 
 HALF_PI = math.pi / 2
 W = make_sine_weight(3, 2.0, HALF_PI)
@@ -65,3 +65,13 @@ def test_bad_number_raises_hardy_error(name):
     for bad in bad_values:
         with pytest.raises(HardyError):
             call(bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: make_sine_weight(10**400, 2.0, 1.0),
+    lambda: Weight(kind=SINE, n=10**400, p=2.0, a=1.0, delta=1.0).c1,
+], ids=["make_sine_weight", "Weight"])
+def test_dimension_too_large_for_a_float(call):
+    # n - p and c1 raised a bare OverflowError
+    with pytest.raises(DomainError, match="n must be finite"):
+        call()

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -200,3 +203,32 @@ def test_a_k_b_k_layout_same_as_two_calls(a):
             pts, counts = refine_breakpoints([lo, 1.0 / k, hi], singular)
             assert counts[0] == len(head) - 1
             assert np.array_equal(pts, np.concatenate((head, body[1:])))
+
+
+@given(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0),
+       st.sampled_from([(), (0.0,), (0.0, math.pi)]))
+@settings(max_examples=200, deadline=None)
+def test_integrate_edges_same_as_refine(x, y, singular):
+    # integrate marches its segment itself; the golden-section T and the
+    # pinned quotients rest on its edges staying those of refine_breakpoints
+    lo, hi = min(x, y), max(x, y)
+    assume(lo < hi)
+    with mock.patch.object(quadrature, "panel_nodes", wraps=quadrature.panel_nodes) as spy:
+        integrate(np.ones_like, lo, hi, singular)
+    (pts,), _ = spy.call_args
+    assert np.array_equal(pts, refine_breakpoints(np.array([lo, hi]), singular, coarse=8)[0])
+
+
+@pytest.mark.parametrize("lo,hi,singular", [
+    (math.nan, 1.0, ()),
+    (0.1, math.inf, ()),
+    (0.1, 1.0, (0.0, math.nan)),
+], ids=["nan-end", "inf-end", "nan-singular"])
+def test_integrate_refuses_before_the_march(lo, hi, singular, monkeypatch):
+    # the march would never reach the stop of a NaN end
+    def march(*args):
+        raise AssertionError(f"the march was reached with {args}")
+
+    monkeypatch.setattr(quadrature, "_march", march)
+    with pytest.raises(DomainError, match="finite"):
+        integrate(np.exp, lo, hi, singular)
