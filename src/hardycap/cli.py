@@ -55,7 +55,10 @@ def _emit(args, meta, header, rows):
         text = json.dumps(payload, indent=2, default=float) + "\n"
     else:
         lines = [",".join(header)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        # a float cell formats as _fmt would, without the call; bools,
+        # integers and numpy scalars go through _fmt
+        lines.extend(",".join(["%.17g" % v if type(v) is float else _fmt(v) for v in row])
+                     for row in rows)
         text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", newline="") as fh:

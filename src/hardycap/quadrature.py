@@ -13,14 +13,17 @@ floor on a panel width and the stopping slack grow with the outermost
 breakpoints).  Two layouts are pinned bit for bit, with at least
 ``coarse = 8`` panels per segment:
 
-* ``integrate`` (and so ``eta.tail_integral``): the golden-section
-  truncation point T is built from its one-segment integrals and moves by
-  up to 1.6e-8 under one-ulp changes in them.  ``integrate`` marches its
+* ``_integrate``, the bare core behind ``integrate`` (and so
+  ``eta.tail_integral``) and behind the golden-section ``eta._eta_at``:
+  the truncation point T is built from its one-segment integrals and
+  moves by up to 1.6e-8 under one-ulp changes in them.  It marches its
   one segment with ``_march`` directly, without the array set-up of
   ``refine_breakpoints``.  Its edges are the same bits: fewer than
   ``LOCKSTEP_MIN`` segments go from ``refine_breakpoints`` to the same
   ``_march``, with a base, stop and floor from the same float64
-  operations on the same ends;
+  operations on the same ends.  ``panel_nodes`` and the sum over the
+  nodes are the pinned node positions and summation order of this
+  layout;
 * ``hardy1d.A_k_B_k``: its body panels next to the endpoint guard carry a
   node-rounding artefact in B_k that perfbench/reference.json pins to 1e-9.
 
@@ -75,18 +78,30 @@ def _check_finite(values):
 
 
 def _march(cur, base, hi, stop, singular, floor):
-    """Panel edges of one segment after ``cur``, one panel at a time."""
+    """Panel edges of one segment after ``cur``, one panel at a time.
+
+    Each width is ``min(base, PANEL_RATIO * |cur - s|)`` over the singular
+    points ``s``, then at least ``floor``, written as comparisons rather
+    than calls of the builtins ``min``, ``max`` and ``abs``: the same IEEE
+    operations, and a tie keeps the earlier value as ``min`` and ``max``
+    do, so the edges are the same bits.
+    """
+    ratio = PANEL_RATIO
     edges = []
+    append = edges.append
     while True:
         width = base
         for s in singular:
-            width = min(width, PANEL_RATIO * abs(cur - s))
-        nxt = cur + max(width, floor)  # progress even at a singular point
-        if nxt >= stop:
-            edges.append(hi)
+            d = ratio * (cur - s if cur >= s else s - cur)
+            if d < width:
+                width = d
+        if width < floor:  # progress even at a singular point
+            width = floor
+        cur += width
+        if cur >= stop:
+            append(hi)
             return edges
-        edges.append(nxt)
-        cur = nxt
+        append(cur)
 
 
 def refine_breakpoints(breakpoints, singular=(), coarse=8):
@@ -179,8 +194,9 @@ def panel_nodes(points):
     ``points`` is a sorted 1-D array of panel edges; the returned node
     array is globally increasing.
     """
-    mid = 0.5 * (points[:-1] + points[1:])
-    half = 0.5 * np.diff(points)
+    lo, hi = points[:-1], points[1:]
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * GL_NODES
     w = half[:, None] * GL_WEIGHTS
     return x, w
@@ -197,10 +213,16 @@ def integrate(f, lo, hi, singular=()):
     _check_finite((lo, hi, *singular))
     if hi <= lo:
         return 0.0
+    return _integrate(f, lo, hi, singular)
+
+
+def _integrate(f, lo, hi, singular):
+    """``integrate`` without its checks: finite float ends with
+    ``lo < hi`` and finite singular points (a NaN end would march forever)."""
     scale = max(abs(lo), abs(hi), 1.0)
     edges = _march(lo, (hi - lo) / 8, hi, hi - 1e-16 * scale, singular, WIDTH_FLOOR * scale)
     x, w = panel_nodes(np.array([lo, *edges]))
-    return float(np.sum(f(x) * w))
+    return float((f(x) * w).sum())
 
 
 def segment_integrals(f, breakpoints, singular=()):

@@ -1,10 +1,12 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import run_python
+from hardycap import cli
 from hardycap.cli import build_parser, main
 from hardycap.eta import find_truncation_point
 
@@ -268,3 +270,30 @@ class TestParserReuse:
         assert exc.value.code == 2
         capsys.readouterr()
         assert self._run(capsys, self.QUOTIENT) == alone
+
+
+class TestCsvCells:
+    """``_emit`` formats a float cell inline; the CSV must be the bytes of
+    formatting every cell with ``_fmt``."""
+
+    @staticmethod
+    def _emit_with_fmt(args, meta, header, rows):
+        lines = [",".join(header)]
+        lines.extend(",".join(cli._fmt(v) for v in row) for row in rows)
+        sys.stdout.write("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["eta-table", "--weight", "sine", "--n", "4", "--p", "2.5", "--a", "2.0"],
+        ["eta-table", "--weight", "power", "--p", "2", "--delta", "1", "--a", "1"],
+        ["validate-weight", "--weight", "sine", "--n", "3", "--p", "2", "--a", HALF_PI],
+        ["validate-weight", "--weight", "power", "--p", "1.5", "--delta", "0.75", "--a", "3"],
+        ["integrability", "--n", "3", "--p", "2", "--a", "1.0"],
+    ], ids=["eta-table-sine", "eta-table-power", "validate-sine", "validate-power",
+            "integrability"])
+    def test_same_bytes_as_fmt(self, argv, capsys, monkeypatch):
+        assert main(argv) == 0
+        fast = capsys.readouterr().out
+        monkeypatch.setattr(cli, "_emit", self._emit_with_fmt)
+        assert main(argv) == 0
+        assert fast == capsys.readouterr().out
+        assert fast.count("\n") > 1

@@ -1,11 +1,14 @@
 import importlib
 import math
+import re
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import riccati_residual
@@ -14,6 +17,7 @@ from hardycap.errors import DomainError, NumericalError, ParameterError
 from hardycap.eta import (
     BRACKET_GRID,
     ENDPOINT_GUARD,
+    GOLDEN_TOL,
     eta,
     eta_bounds,
     eta_many,
@@ -23,6 +27,7 @@ from hardycap.eta import (
     tail_integrals,
 )
 from hardycap.weights import make_power_weight, make_sine_weight
+from test_reference_pins import _load_reference_module
 
 HALF_PI = math.pi / 2
 #: the module; ``hardycap.eta`` is also the name of the function
@@ -81,6 +86,22 @@ class TestTailIntegralResolution:
         w = make_sine_weight(3, 2.0, math.pi - 1e-15)
         with pytest.raises(DomainError, match="cannot resolve"):
             tail_integral(w, 1.0)
+
+    def test_sine_accuracy_next_to_pi(self):
+        # the rounded nodes next to a sit ulp(pi)-close to pi compared with
+        # their distance pi - a, and nothing raises: the relative error grows
+        # like ulp(pi)/(pi - a) (3.9e-10 at pi - a = 1e-8, up to 6.7e-9 for
+        # pi - a in [1e-8, 1e-7]), so 1e-9 holds from pi - a = 1e-6 on
+        mpmath.mp.dps = 40
+        for gap in np.geomspace(1e-8, 1.0, 81):
+            a = math.pi - gap
+            w = make_sine_weight(3, 2.0, a)
+            exact = mpmath.cot(1) - mpmath.cot(mpmath.mpf(a))
+            bound = max(math.ulp(math.pi) / (math.pi - a), 1e-15)
+            for tail in (tail_integral(w, 1.0), tail_integrals(w, [1.0])[0]):
+                err = float(abs(tail / exact - 1))
+                assert err <= bound, (gap, err)
+                assert gap < 1e-6 or err <= 1e-9, (gap, err)
 
     @pytest.mark.parametrize("a", [2e-3, 0.1, 1.0, 100.0])
     def test_endpoint_guard_legal(self, a):
@@ -338,20 +359,86 @@ class TestTruncation:
     @pytest.mark.parametrize("w", [make_sine_weight(3, 2.0, HALF_PI),
                                    make_power_weight(2.0, 1.0, 1.0)], ids=["sine", "power"])
     def test_one_refinement_per_search(self, w, monkeypatch):
-        # the bracket sweep refines its 256 points in one call; each
-        # golden-section eta integrates one segment without refine_breakpoints
+        # the bracket sweep refines its 256 points in one call; then each
+        # golden point integrates one segment with the bare core, and the
+        # loop calls neither refine_breakpoints nor the public eta
+        events = []
+
         def spy(module, name):
-            real, calls = getattr(module, name), []
+            real = getattr(module, name)
 
             def counted(*args, **kwargs):
-                calls.append(args)
+                events.append((name, args))
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
-            return calls
 
-        refines = spy(quadrature, "refine_breakpoints")
-        integrals, etas = spy(eta_module, "integrate"), spy(eta_module, "eta")
+        spy(quadrature, "refine_breakpoints")
+        for name in ("eta", "integrate", "_eta_at", "_integrate"):
+            spy(eta_module, name)
         find_truncation_point(w)
-        assert len(refines) == 1 and len(refines[0][0]) == BRACKET_GRID + 1
-        assert len(etas) > 40 and len(integrals) == len(etas)
+        names = [name for name, _ in events]
+        golden = (len(names) - 1) // 2
+        assert golden > 40
+        assert names == ["refine_breakpoints"] + ["_eta_at", "_integrate"] * golden
+        assert len(events[0][1][0]) == BRACKET_GRID + 1
+
+
+def _golden_on_public_eta(w):
+    """The golden-section search for T written on the public, checked
+    ``eta``: the oracle for the bits of ``find_truncation_point``."""
+    grid = w.a * np.geomspace(1e-6, 1.0 - 1e-6, BRACKET_GRID)
+    i = int(np.argmin(eta_many(w, grid)))
+    lo, hi = grid[i - 1], grid[i + 1]
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    fc, fd = eta(w, c), eta(w, d)
+    while hi - lo > GOLDEN_TOL:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - ratio * (hi - lo)
+            fc = eta(w, c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + ratio * (hi - lo)
+            fd = eta(w, d)
+    t_min = 0.5 * (lo + hi)
+    return float(t_min).hex(), eta(w, t_min).hex()
+
+
+def _search_bits(w):
+    prof = find_truncation_point(w)
+    return prof.T.hex(), prof.eta_at_T.hex()
+
+
+class TestGoldenSameBits:
+    """The search evaluates the bare ``_eta_at`` at points inside the
+    checked bracket grid; its T and eta(T) are the bits of the same search
+    on the public ``eta``."""
+
+    def test_sharpness_grid(self):
+        ref = _load_reference_module()
+        weights = [ref.wl.make_weight(kind, params) for kind, params in ref._weights()]
+        assert len(weights) == 63
+        for w in weights:
+            assert _search_bits(w) == _golden_on_public_eta(w), w
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_drawn_weights(self, data):
+        # the admissible ranges of the CLI workload, both families
+        if data.draw(st.booleans(), label="sine"):
+            n = data.draw(st.integers(3, 10), label="n")
+            p = data.draw(st.floats(1.05, min(n, 6) - 0.05), label="p")
+            w = make_sine_weight(n, p, data.draw(st.floats(0.2, 3.0), label="a"))
+        else:
+            w = make_power_weight(data.draw(st.floats(1.2, 6.0), label="p"),
+                                  data.draw(st.floats(0.5, 4.0), label="delta"),
+                                  data.draw(st.floats(0.2, 5.0), label="a"))
+        try:
+            expected = _golden_on_public_eta(w)
+        except NumericalError as err:
+            with pytest.raises(NumericalError, match=re.escape(str(err))):
+                find_truncation_point(w)
+        else:
+            assert _search_bits(w) == expected

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
@@ -232,3 +232,35 @@ def test_integrate_refuses_before_the_march(lo, hi, singular, monkeypatch):
     monkeypatch.setattr(quadrature, "_march", march)
     with pytest.raises(DomainError, match="finite"):
         integrate(np.exp, lo, hi, singular)
+
+
+def _builtin_march(cur, base, hi, stop, singular, floor):
+    """The panel march written with the builtins ``min``, ``max`` and ``abs``."""
+    edges = []
+    while True:
+        width = base
+        for s in singular:
+            width = min(width, PANEL_RATIO * abs(cur - s))
+        nxt = cur + max(width, floor)
+        if nxt >= stop:
+            edges.append(hi)
+            return edges
+        edges.append(nxt)
+        cur = nxt
+
+
+@given(st.floats(-4.0, 4.0), st.floats(1e-9, 8.0), st.floats(1.0 / 64, 1.0),
+       st.sampled_from([1e-15, 1e-9, 1e-4, 1e-2]), st.sampled_from([0.0, 1e-16, 1e-12]),
+       st.sampled_from([(), (0.0,), (0.0, math.pi)]))
+@example(-1.0, 2.0, 1.0, 1e-4, 1e-16, (0.0,))  # floor-set steps on both sides of 0
+@example(0.0, math.pi, 1.0 / 8, 1e-15, 1e-16, (0.0, math.pi))  # singular at both ends
+@example(3.0, 0.5, 1.0, 1e-2, 0.0, (0.0, math.pi))  # across pi, floor-set near it
+@settings(max_examples=300, deadline=None)
+def test_march_same_as_builtin_loop(cur, length, share, floor, slack, singular):
+    # _march compares where the loop above calls min, max and abs; the
+    # edges, and so every pinned layout, must be the same bits
+    hi = cur + length
+    scale = max(abs(cur), abs(hi), 1.0)
+    args = (cur, share * length, hi, hi - slack * scale, singular, floor * scale)
+    edges = quadrature._march(*args)
+    assert [x.hex() for x in edges] == [x.hex() for x in _builtin_march(*args)]
