@@ -296,9 +296,14 @@ def A_k_B_k(w, k):
     if not guard_lo < s < guard_hi:
         raise DomainError(f"1/k = {s} must lie in ({guard_lo:.3e}, {guard_hi:.6g})")
     pts, _ = _panel_edges(w, np.array([s, guard_hi]), coarse=8)
-    _, wts, _, inv_phi, tails, edge_tails = _sweep(w, pts)
-    a_k = float((1.0 - (edge_tails[0] / tail_integral(w, guard_lo)) ** (p - 1.0)) / (p - 1.0))
-    b_k = float(np.sum(inv_phi / tails * wts))
+    # phi**(-1/(p-1)) overflows next to 0 on steep weights: raised, not warned
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        _, wts, _, inv_phi, tails, edge_tails = _sweep(w, pts)
+        a_k = float((1.0 - (edge_tails[0] / tail_integral(w, guard_lo)) ** (p - 1.0)) / (p - 1.0))
+        b_k = float(np.sum(inv_phi / tails * wts))
+    if not (np.isfinite(a_k) and np.isfinite(b_k)):
+        raise NumericalError(
+            f"A_k = {a_k!r} and B_k = {b_k!r} must be finite: eta_a overflows from t={s!r}")
     return a_k, b_k
 
 

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaincinv
 
 from .errors import DomainError, InequalityViolationError, ParameterError
 from .eta import eta_truncated_many, find_truncation_point
@@ -60,6 +59,10 @@ def cap_volume(n, alpha):
     the subtraction keeps every digit of a result >= 1/2 and ``cos^2``
     keeps the distance to the equator.
     """
+    # imported here, not at the top: only cap volumes need scipy.special,
+    # and loading it would double the start-up of every 1-D command
+    from scipy.special import betainc, betaincinv
+
     n = _dimension(n)
     alpha = _finite_array("alpha", alpha)
     outside = (alpha < 0.0) | (alpha > math.pi)
@@ -82,6 +85,8 @@ def inverse_cap_volume(n, volume):
     ``betaincinv``, on the branch of ``cap_volume`` that holds it: ``sin^2``
     up to ``frac = 1/2`` and ``cos^2`` from ``1 - frac`` (exact there) past it.
     """
+    from scipy.special import betaincinv  # as in cap_volume
+
     n = _dimension(n)
     volume = _finite_array("volume", volume)
     total = sphere_surface_volume(n)
@@ -120,9 +125,9 @@ class CapGeometry:
         """Volume of the unit (n-1)-sphere."""
         return sphere_surface_volume(self.n - 1)
 
-    @property
+    @functools.cached_property
     def measure(self):
-        """Volume of the cap B(a_star)."""
+        """Volume of the cap B(a_star), computed once per geometry."""
         return cap_volume(self.n, self.a_star)
 
 

@@ -297,3 +297,35 @@ class TestCsvCells:
         assert main(argv) == 0
         assert fast == capsys.readouterr().out
         assert fast.count("\n") > 1
+
+
+class TestStartUp:
+    """Only cap volumes load ``scipy.special``, whose import takes longer
+    than most 1-D commands: a fresh interpreter that runs none has not
+    loaded it."""
+
+    SCRIPT = """
+import contextlib, io, json, sys
+loaded = lambda: "scipy.special" in sys.modules
+import hardycap
+from hardycap.cli import main
+seen = {"import hardycap": loaded()}
+weight = ["--weight", "sine", "--n", "3", "--p", "2", "--a", "1.5707963267948966"]
+for argv in (["validate-weight", *weight], ["eta-table", *weight], ["find-T", *weight],
+             ["quotient", *weight, "--function", "vk", "--truncated"],
+             ["sharpness-1d", *weight, "--ks", "16,64", "--truncated"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    seen[argv[0]] = loaded()
+hardycap.cap_volume(3, 1.0)
+seen["cap_volume"] = loaded()
+print(json.dumps(seen))
+"""
+
+    def test_scipy_special_loads_only_for_cap_volumes(self):
+        proc = run_python("-c", self.SCRIPT)
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout)
+        assert seen == {"import hardycap": False, "validate-weight": False, "eta-table": False,
+                        "find-T": False, "quotient": False, "sharpness-1d": False,
+                        "cap_volume": True}

@@ -390,6 +390,16 @@ class TestExtremalSequences:
             with pytest.raises(NumericalError, match=r"t=1e-12\b.*= inf"):
                 A_k_B_k(w, 16)
 
+    @pytest.mark.parametrize("k", [16, 4096])
+    def test_a_k_b_k_overflow_raises_without_warnings(self, k):
+        # phi**(-1/(p-1)) = sin(t)**-120.5 overflows next to 0: at k = 4096 the
+        # panel sweep warned "overflow encountered in power" before the error
+        w = make_sine_weight(3, 1.0166, 0.4476)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="not finite"):
+                A_k_B_k(w, k)
+
 
 class TestLargeK:
     """Extremal grids and A_k_B_k refuse the k they cannot resolve."""

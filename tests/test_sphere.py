@@ -4,6 +4,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.special import betaincinv
@@ -64,6 +65,21 @@ class TestGeometry:
                     lambda t: math.sin(t) ** (n - 1), 0.0, alpha
                 )[0]
                 assert_allclose(cap_volume(n, alpha), ref, rtol=1e-12)
+
+    def test_measure_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return cap_volume(*args)
+
+        monkeypatch.setattr(sphere, "cap_volume", counted)
+        geom = CapGeometry(n=3, a_star=1.0)
+        assert [geom.measure for _ in range(3)] == [cap_volume(3, 1.0)] * 3
+        assert calls == [(3, 1.0)]
+        # the cached value is no field: equality and repr are those of (n, a_star)
+        assert geom == CapGeometry(n=3, a_star=1.0) and hash(geom) == hash(CapGeometry(3, 1.0))
+        assert repr(geom) == "CapGeometry(n=3, a_star=1.0)"
 
     def test_inverse_examples(self):
         assert_allclose(inverse_cap_volume(2, 2.0 * math.pi), HALF_PI, atol=1e-12)
@@ -182,14 +198,15 @@ class TestCapVolumeClosedForm:
 
     @pytest.mark.parametrize("n", [2, 40, 256])
     def test_one_evaluation_per_point(self, n, monkeypatch):
+        # sphere imports both functions from scipy.special at each call
         def spy(name):
-            real, sizes = getattr(sphere, name), []
+            real, sizes = getattr(scipy.special, name), []
 
             def counted(*args):
                 sizes.append(np.size(args[-1]))
                 return real(*args)
 
-            monkeypatch.setattr(sphere, name, counted)
+            monkeypatch.setattr(scipy.special, name, counted)
             return sizes
 
         assert not hasattr(sphere, "betaincc") and not hasattr(sphere, "betainccinv")
