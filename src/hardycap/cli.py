@@ -33,7 +33,7 @@ from .sphere import (
     spherical_rearrangement,
     verify_sphere_theorem,
 )
-from .weights import make_power_weight, make_sine_weight, validate_weight
+from .weights import Weight, validate_weight
 
 _HALF_PI_LITERAL = "1.5707963267948966"
 
@@ -68,13 +68,8 @@ def _emit(args, meta, header, rows):
 
 
 def _build_weight(args):
-    if args.weight == "power":
-        if args.delta is None:
-            raise ParameterError("--delta is required for the power weight")
-        return make_power_weight(args.p, args.delta, args.a)
-    if args.n is None:
-        raise ParameterError("--n is required for the sine weight")
-    return make_sine_weight(args.n, args.p, args.a)
+    # Weight refuses a flag of the other family and a missing one
+    return Weight(p=args.p, a=args.a, kind=args.weight, delta=args.delta, n=args.n)
 
 
 def _meta(args, **extra):
@@ -198,11 +193,11 @@ def _add_common(sub):
 
 def _add_weight_args(sub):
     sub.add_argument("--weight", choices=("power", "sine"), required=True)
-    sub.add_argument("--n", type=int, default=None)
+    sub.add_argument("--n", type=int, default=None, help="sine weights only")
     sub.add_argument("--p", type=float, required=True)
     sub.add_argument("--a", type=float, required=True,
                      help=f"interval endpoint in radians (pi/2 = {_HALF_PI_LITERAL})")
-    sub.add_argument("--delta", type=float, default=None)
+    sub.add_argument("--delta", type=float, default=None, help="power weights only")
 
 
 @functools.cache

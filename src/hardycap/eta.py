@@ -166,7 +166,7 @@ def eta_bounds(w, t):
     point or an array of points in (0, a).
 
     Returns ``(lo, hi)`` with ``K(t) = e / (t * (1 - (t/a)**e))``,
-    ``e = delta/(p-1)``, scaled by ``r = (c1/c2)**(1/(p-1))`` and its
+    ``e = delta/(p-1)``, scaled by ``r = c1**(1/(p-1))`` (c2 = 1) and its
     reciprocal: two floats for a scalar ``t``, two arrays otherwise.
     ``1 - (t/a)**e = -expm1(e log(t/a))`` neither overflows nor cancels
     near ``t = a``.  When r underflows to 0 there is no finite two-sided
@@ -177,7 +177,7 @@ def eta_bounds(w, t):
     if not ((t > 0.0) & (t < w.a)).all():
         raise DomainError(f"t must lie in (0, {w.a})")
     e = w.delta / (w.p - 1.0)
-    r = (w.c1 / w.c2) ** (1.0 / (w.p - 1.0))
+    r = w.c1 ** (1.0 / (w.p - 1.0))
     # divide: np.where evaluates both branches, and log1p(-1) = -inf where
     # t - a rounds to -a; K/r = inf where r underflows to 0
     with np.errstate(divide="ignore", over="ignore", under="ignore"):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, NumericalError, ParameterError
 from .hardy1d import GridFunction, QuotientReport
 from .quadrature import panel_nodes, refine_breakpoints
 from .sphere import (
@@ -33,7 +33,7 @@ from .sphere import (
     rho_star,
     verify_sphere_theorem,
 )
-from .weights import _finite
+from .weights import _dimension, _finite
 
 _HALF_PI = math.pi / 2.0
 
@@ -102,14 +102,18 @@ def verify_halfspace(n, p, f):
 
 def dirac_bump(eps, p, n):
     """Triangular radial bump of half-width eps at r = 1, normalised so
-    that integral R**p r**n dr = 1."""
-    eps = _finite("eps", eps)
+    that integral R**p r**n dr = 1.  p > 1 and n is an integer >= 2;
+    raises ``NumericalError`` where that moment is 0 or not finite."""
+    eps, p, n = _finite("eps", eps), _finite("p", p), _dimension(n)
     if not 0.0 < eps < 0.5:
         raise ParameterError(f"eps must lie in (0, 1/2), got {eps}")
-    raw = GridFunction(
-        np.array([1.0 - eps, 1.0, 1.0 + eps]), np.array([0.0, 1.0, 0.0])
-    )
-    mass = _radial_moment(raw, n, p)
+    if not p > 1:
+        raise DomainError(f"p must be > 1, got {p}")
+    raw = GridFunction(np.array([1.0 - eps, 1.0, 1.0 + eps]), np.array([0.0, 1.0, 0.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = _radial_moment(raw, n, p)
+    if not 0.0 < mass < math.inf:
+        raise NumericalError(f"the bump's moment integral R**p r**{n} dr is {mass!r}")
     return raw.scaled(mass ** (-1.0 / p))
 
 

@@ -265,8 +265,8 @@ def extremal_V_k(w, prof, k):
     ramp_end = 0.5 * (a + T)
     body = _clustered_nodes(s, T, (3 * GRID_SIZE) // 4)
     ramp = np.linspace(T, ramp_end, GRID_SIZE // 8)
-    tail = np.linspace(ramp_end, a, GRID_SIZE // 16)
-    nodes = np.unique(np.concatenate((body, ramp, tail)))
+    # u = 0 past the ramp: one cell [ramp_end, a] holds the zero tail
+    nodes = np.unique(np.concatenate((body, ramp, [a])))
 
     values = np.zeros_like(nodes)
     in_body = nodes <= T  # the last body node is T itself
@@ -319,8 +319,11 @@ def convergence_study(w, prof, ks, truncated=False):
     falls like GRID_SIZE**-2.  prof may be None for the full sequence.
     """
     _check_profile(w, prof, truncated)
+    if not np.iterable(ks):
+        raise ParameterError(f"ks must be a sequence of indices, got {ks!r}")
     rows = []
-    for k in sorted(ks):
+    # each k is checked, by name, before the first quotient
+    for k in sorted(ks, key=lambda k: _finite("k", k)):
         u = extremal_V_k(w, prof, k) if truncated else extremal_U_k(w, k)
         rep = hardy_quotient(w, prof, u, truncated=truncated)
         rows.append((k, rep.quotient, rep.margin))

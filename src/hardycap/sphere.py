@@ -112,6 +112,7 @@ class CapGeometry:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _dimension(self.n))
+        object.__setattr__(self, "a_star", _finite("a_star", self.a_star))
         if not 0.0 < self.a_star < math.pi:
             raise ParameterError(f"a_star must lie in (0, pi), got {self.a_star}")
         if self.measure == 0.0:
@@ -153,6 +154,14 @@ class SphericalProfile:
         return self.grid.values
 
 
+def _order(q):
+    """A moment order: a finite q > 0."""
+    q = _finite("q", q)
+    if not q > 0.0:
+        raise DomainError(f"the moment order q must be > 0, got {q}")
+    return q
+
+
 @dataclass(frozen=True)
 class SampleSet:
     """Function samples on Omega together with the measure of each cell."""
@@ -175,7 +184,7 @@ class SampleSet:
         return float(np.sum(self.weights))
 
     def moment(self, q):
-        return float(np.sum(self.weights * np.abs(self.values) ** q))
+        return float(np.sum(self.weights * np.abs(self.values) ** _order(q)))
 
 
 def _merged_layers(s):
@@ -207,7 +216,7 @@ class CapStepProfile:
         return np.diff(vols)
 
     def moment(self, q):
-        return float(np.sum(self.levels**q * self.cell_measures()))
+        return float(np.sum(self.levels ** _order(q) * self.cell_measures()))
 
 
 def _check_measure(s, geom):
@@ -267,10 +276,7 @@ def check_hardy_littlewood(s1, s2, geom):
 
 @functools.lru_cache(maxsize=None)
 def _cap_eta_profile(n, p, a_star):
-    """The cap's sine weight and eta profile; the one check of 1 < p < n."""
-    p = _finite("p", p)
-    if not 1.0 < p < n:
-        raise DomainError(f"p must satisfy 1 < p < n, got p={p}, n={n}")
+    """The cap's sine weight, which checks 1 < p < n, and its eta profile."""
     w = make_sine_weight(n, p, a_star)
     return w, find_truncation_point(w)
 

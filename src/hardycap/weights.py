@@ -3,9 +3,9 @@
 A weight is a function ``phi`` on [0, a] with ``phi(0) = 0``, ``phi > 0``
 on (0, a] and two-sided power-law growth
 ``c1 * t**(p-1+delta) <= phi(t) <= c2 * t**(p-1+delta)``.
-Two families are built in: the pure power ``t**(p-1+delta)`` and the
-spherical volume element ``sin(t)**(n-1)`` (which satisfies the growth
-bound with ``delta = n - p``).
+Two families are built in, both with ``c2 = 1``: the pure power
+``t**(p-1+delta)`` and the spherical volume element ``sin(t)**(n-1)``,
+whose growth exponent fixes ``delta = n - p``.
 """
 
 from __future__ import annotations
@@ -26,82 +26,82 @@ VALIDATION_GRID = 1024
 
 @dataclass(frozen=True)
 class Weight:
-    """An admissible weight with closed-form evaluators.
+    """An admissible weight ``phi = base(t)**g``, ``t**(p-1+delta)`` (power)
+    or ``sin(t)**(n-1)`` (sine), with closed-form evaluators.
 
-    ``delta`` sets the exponent of the two-sided power-law growth bound.
-    Its constants ``c1`` and ``c2`` are derived from the family, not
-    stored, so they always agree with ``phi``: 1 for the power family, the
-    extrema of ``phi(t) / t**(p-1+delta)`` on (0, a] for the sine family.
+    The weight alone decides its family's parameters: a power weight takes
+    p, delta and a, and refuses n; a sine weight takes n, p and a, and
+    derives delta = n - p (a passed delta must equal it to 1e-12
+    relative).  ``c1`` is derived too; ``c2`` is 1 for both families.
 
-    Construction checks admissibility and raises ``ParameterError``
-    otherwise: p > 1, delta > 0 and a > 0 for the power family, an integer
-    n >= 2, 1 < p < n and 0 < a < pi for the sine family, and finite p, a
-    and delta.  Both families are then log-concave on (0, a] in closed
-    form (see ``log_phi_dd``).
+    Construction raises ``ParameterError`` unless p, a and delta are
+    finite, delta > 0 and a > 0 (power), n is an integer >= 2 and
+    0 < a < pi (sine), and ``DomainError`` unless 1 < p < n (p > 1 for
+    power).  Both families are then log-concave on (0, a] in closed form.
     """
 
     p: float
     a: float
     kind: str
-    delta: float
-    n: int = 0  # sine family only
+    delta: float | None = None  # derived for the sine family
+    n: int | None = None  # sine family only
 
     def __post_init__(self):
-        for name in ("p", "a", "delta"):
-            object.__setattr__(self, name, _finite(name, getattr(self, name)))
-        p, a = self.p, self.a
-        if self.kind == POWER:
-            if not p > 1:
-                raise ParameterError(f"p must be > 1, got {p}")
-            if not self.delta > 0:
-                raise ParameterError(f"delta must be > 0, got {self.delta}")
-            if not a > 0:
-                raise ParameterError(f"a must be > 0, got {a}")
-        elif self.kind == SINE:
-            n = _dimension(self.n)
-            if not 1 < p < n:
-                raise ParameterError(f"p must satisfy 1 < p < n, got p={p}, n={n}")
+        p, a = _finite("p", self.p), _finite("a", self.a)
+        delta = None if self.delta is None else _finite("delta", self.delta)
+        sine = self.kind == SINE
+        if not sine and self.kind != POWER:
+            raise ParameterError(f"kind must be {POWER!r} or {SINE!r}, got {self.kind!r}")
+        if (self.n is None) == sine:
+            need = "needs n" if sine else "takes no n"
+            raise ParameterError(f"a {self.kind} weight {need}, got n={self.n!r}")
+        n = _dimension(self.n) if sine else math.inf
+        if not 1 < p < n:
+            bound = f"satisfy 1 < p < n, got p={p}, n={n}" if sine else f"be > 1, got {p}"
+            raise DomainError(f"p must {bound}")
+        if sine:
             if not 0 < a < math.pi:
                 raise ParameterError(f"a must lie in (0, pi), got {a}")
+            if delta is not None and not math.isclose(delta, n - p, rel_tol=1e-12):
+                raise ParameterError(f"a sine weight has delta = n - p = {n - p!r}, got {delta!r}")
+            delta = n - p
             object.__setattr__(self, "n", n)
         else:
-            raise ParameterError(f"kind must be {POWER!r} or {SINE!r}, got {self.kind!r}")
-
-    @property
-    def c1(self):
-        if self.kind == SINE:
-            # (sin t / t)**(n-1) decreases on (0, pi); its minimum is at t = a
-            return float((math.sin(self.a) / self.a) ** (self.n - 1))
-        return 1.0
-
-    @property
-    def c2(self):
-        # 1 for both families: the sine ratio tends to its supremum 1 at t -> 0
-        return 1.0
+            if delta is None or not delta > 0:
+                raise ParameterError(f"a power weight's delta must be > 0, got {delta!r}")
+            if not a > 0:
+                raise ParameterError(f"a must be > 0, got {a}")
+        for name, value in (("p", p), ("a", a), ("delta", delta)):
+            object.__setattr__(self, name, value)
 
     @property
     def growth_exponent(self):
         return self.p - 1.0 + self.delta
 
     @property
+    def _g(self):
+        """The exponent of ``base``: the int n - 1 for the sine family."""
+        return self.n - 1 if self.kind == SINE else self.growth_exponent
+
+    def _base(self, t):
+        return np.sin(t) if self.kind == SINE else t
+
+    @property
+    def c1(self):
+        # (base(t)/t)**g is 1 or decreases on (0, pi) from c2 = 1 at t -> 0
+        return float((self._base(self.a) / self.a) ** self._g)
+
+    @property
     def singular_points(self):
         """Abscissae near which quadrature panels must refine."""
-        if self.kind == SINE:
-            return (0.0, math.pi)
-        return (0.0,)
+        return (0.0, math.pi) if self.kind == SINE else (0.0,)
 
     def phi(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == POWER:
-            return t ** self.growth_exponent
-        return np.sin(t) ** (self.n - 1)
+        return self._base(np.asarray(t, dtype=float)) ** self._g
 
     def log_phi_dd(self, t):
-        """Second derivative of log(phi); negative iff phi is log-concave."""
-        t = np.asarray(t, dtype=float)
-        if self.kind == POWER:
-            return -self.growth_exponent / t**2
-        return -(self.n - 1) / np.sin(t) ** 2
+        """(log phi)'' = -g / base(t)**2, negative: phi is log-concave."""
+        return -self._g / self._base(np.asarray(t, dtype=float)) ** 2
 
     def inv_phi_pow(self, t):
         """phi(t) ** (-1/(p-1)), the integrand of the tail integral."""
@@ -162,10 +162,9 @@ def _dimension(n, least=2):
 
 
 def make_sine_weight(n, p, a):
-    """Weight ``phi(t) = sin(t)**(n-1)`` on (0, a), a < pi, with 1 < p < n."""
-    # checked first, so that n = "3" or p = "2" is refused by name, not by n - p
-    n, p = _dimension(n), _finite("p", p)
-    return Weight(p=p, a=a, kind=SINE, delta=n - p, n=n)
+    """Weight ``phi(t) = sin(t)**(n-1)`` on (0, a), a < pi, with 1 < p < n
+    and delta = n - p."""
+    return Weight(p=p, a=a, kind=SINE, n=n)
 
 
 @dataclass(frozen=True)
@@ -200,15 +199,6 @@ def validate_weight(w):
         raise NumericalError(
             f"t**{w.growth_exponent:g} underflows on the whole grid (0, {w.a:g}]")
     ratio = vals[normal] / power[normal]
-    growth_ok = bool(
-        np.all(ratio >= w.c1 * (1.0 - 1e-12)) and np.all(ratio <= w.c2 * (1.0 + 1e-12))
-    )
-    return ValidationReport(
-        boundary_ok=boundary_ok,
-        positive_ok=positive_ok,
-        log_concave_ok=log_concave_ok,
-        growth_ok=growth_ok,
-        c1=float(ratio.min()),
-        c2=float(ratio.max()),
-        grid_size=VALIDATION_GRID,
-    )
+    growth_ok = bool(np.all(ratio >= w.c1 * (1.0 - 1e-12)) and np.all(ratio <= 1.0 + 1e-12))
+    return ValidationReport(boundary_ok, positive_ok, log_concave_ok, growth_ok,
+                            float(ratio.min()), float(ratio.max()), VALIDATION_GRID)

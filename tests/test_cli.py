@@ -77,6 +77,17 @@ class TestExitCodes:
         proc = run_cli("find-T", "--weight", "power", "--p", "2", "--a", "1")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("argv,match", [
+        (["--weight", "sine", "--n", "3", "--p", "2", "--a", HALF_PI, "--delta", "5"], "n - p"),
+        (["--weight", "power", "--n", "3", "--p", "2", "--a", "1", "--delta", "1"], "no n"),
+        (["--weight", "sine", "--p", "2", "--a", "1", "--delta", "1"], "needs n"),
+    ], ids=["sine_delta", "power_n", "sine_no_n"])
+    def test_flag_of_other_family_exits_2(self, argv, match, capsys):
+        # --delta was ignored for sine weights and --n for power weights
+        assert main(["find-T", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and match in captured.err
+
     @pytest.mark.parametrize("truncated", [(), ("--truncated",)], ids=["U", "V"])
     def test_unresolved_k_exits_2(self, truncated, capsys):
         # this printed quotient 0.99865 (0.99809 truncated) with exit 0

@@ -183,6 +183,20 @@ class TestEtaOracles:
         assert_allclose(np.column_stack((lo, hi)), pointwise, rtol=1e-15)
         assert np.all(lo >= 0.0) and np.all(lo <= hi)
 
+    @given(st.booleans(), st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=3, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_bounds_bracket_eta_on_drawn_weights(self, sine, u):
+        # the weights of the CLI workload's eta-table ops, both families, on
+        # the eta-table grid and within the benchmark's tolerance
+        wl = _load_reference_module().wl
+        params = wl._draw_sine(u, False) if sine else wl._draw_power(u, False)
+        w = wl.make_weight("sine" if sine else "power", params)
+        ts = w.a * np.geomspace(1e-6, 1.0 - 1e-6, 64)
+        lo, hi = eta_bounds(w, ts)
+        values = eta_many(w, ts)
+        assert np.all(lo * (1.0 - wl.BOUND_RTOL) <= values)
+        assert np.all(values <= hi * (1.0 + wl.BOUND_RTOL))
+
     def test_bounds_tight_for_power(self, power211):
         # c1 = c2 = 1 collapses the sandwich to the closed form
         lo, hi = eta_bounds(power211, 0.4)

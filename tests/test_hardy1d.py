@@ -338,6 +338,21 @@ class TestExtremalSequences:
         # continuity at T: ramp starts at the body height
         assert_allclose(v(prof.T), math.tan(prof.T) ** -0.5, rtol=1e-6)
 
+    @pytest.mark.parametrize("k", [64, 4096])
+    def test_v_k_zero_tail_is_one_cell(self, sine32, k):
+        # the 256 tail nodes of a padded grid give the same grid function
+        w, prof = sine32
+        v = extremal_V_k(w, prof, k)
+        ramp_end = 0.5 * (w.a + prof.T)
+        assert np.sum(v.nodes >= ramp_end) == 2 and v.nodes[-1] == w.a
+        body = v.nodes < ramp_end
+        padded = GridFunction(
+            np.concatenate((v.nodes[body], np.linspace(ramp_end, w.a, hardy1d.GRID_SIZE // 16))),
+            np.concatenate((v.values[body], np.zeros(hardy1d.GRID_SIZE // 16))))
+        got = hardy_quotient(w, prof, v, truncated=True).quotient
+        want = hardy_quotient(w, prof, padded, truncated=True).quotient
+        assert abs(got - want) <= 1e-15 * want
+
     def test_v_k_refuses_profile_of_other_weight(self, power211, sine32):
         # the grid was built at the other weight's T
         w, _ = sine32

@@ -17,7 +17,7 @@ class TestPowerWeight:
         ts = np.array([0.1, 0.5, 0.9])
         assert_allclose(w.phi(ts), ts**2, rtol=1e-15)
         assert w.growth_exponent == 2.0
-        assert w.c1 == 1.0 and w.c2 == 1.0
+        assert w.c1 == 1.0
 
     def test_inv_phi_pow(self):
         w = make_power_weight(3.0, 2.0, 2.0)
@@ -45,22 +45,21 @@ class TestSineWeight:
         ts = np.linspace(1e-6, 1.0, 500)
         ratio = w.phi(ts) / ts**w.growth_exponent
         assert np.all(ratio >= w.c1 * (1.0 - 1e-12))
-        assert np.all(ratio <= w.c2 * (1.0 + 1e-12))
+        assert np.all(ratio <= 1.0 + 1e-12)
 
     def test_c2_is_small_angle_limit(self):
         # sin t / t -> 1 at t -> 0 and decreases on (0, pi)
         w = make_sine_weight(3, 2.0, 1.5)
-        assert_allclose(w.c2, 1.0, atol=1e-10)
-        assert w.c1 < w.c2
+        assert_allclose(w.phi(1e-6) / 1e-6**2, 1.0, atol=1e-10)
+        assert w.c1 < 1.0
 
     @pytest.mark.parametrize("n,a", [(3, 1.5), (40, 2.0), (200, 3.1)])
     def test_growth_constants_closed_form(self, n, a):
         # (sin t / t)**(n-1) decreases from its supremum 1 at t -> 0 to c1 at a
         w = make_sine_weight(n, 2.0, a)
-        assert w.c2 == 1.0
         assert w.c1 == (math.sin(a) / a) ** (n - 1)
         t = 1e-12 * a
-        assert w.c1 <= (math.sin(t) / t) ** (n - 1) <= w.c2
+        assert w.c1 <= (math.sin(t) / t) ** (n - 1) <= 1.0
 
     def test_bad_parameters(self):
         with pytest.raises(ParameterError):
@@ -142,13 +141,57 @@ class TestConstructionChecks:
         assert Weight(p=2, a=1, kind="power", delta=1) == make_power_weight(2.0, 1.0, 1.0)
 
 
+class TestFamilyParameters:
+    """``Weight`` alone decides which parameters a family takes."""
+
+    def test_sine_derives_delta(self):
+        w = Weight(kind="sine", n=3, p=2, a=1)
+        assert w == make_sine_weight(3, 2, 1)
+        assert w.delta == 1.0
+
+    @pytest.mark.parametrize("n,p,delta", [(3, 2.0, 1.0), (3, 2.3, 0.7), (4, 2.3, 1.7)])
+    def test_sine_accepts_delta_n_minus_p(self, n, p, delta):
+        # a decimal n - p may differ from the float n - p in its last bit
+        w = Weight(kind="sine", n=n, p=p, a=1.0, delta=delta)
+        assert w == make_sine_weight(n, p, 1.0) and w.delta == n - p
+
+    @pytest.mark.parametrize("delta", [5.0, 0.5, 1.0 + 1e-9])
+    def test_sine_refuses_other_delta(self, delta):
+        # delta = 5 gave eta_bounds (7.31, 14.58) around eta(0.5) = 3.66
+        with pytest.raises(ParameterError, match="n - p"):
+            Weight(kind="sine", n=3, p=2.0, a=1.0, delta=delta)
+
+    @pytest.mark.parametrize("n", [3, 0, 3.5])
+    def test_power_refuses_n(self, n):
+        with pytest.raises(ParameterError, match="takes no n"):
+            Weight(kind="power", p=2.0, a=1.0, delta=1.0, n=n)
+
+    @pytest.mark.parametrize("kwargs,match", [
+        (dict(kind="power", p=2.0, a=1.0), "delta must be > 0, got None"),
+        (dict(kind="sine", p=2.0, a=1.0), "needs n"),
+        (dict(kind="sine", p=2.0, a=1.0, delta=1.0), "needs n"),
+    ])
+    def test_missing_parameter(self, kwargs, match):
+        with pytest.raises(ParameterError, match=match):
+            Weight(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(kind="sine", n=3, p=3.0, a=1.0),
+        dict(kind="sine", n=3, p=1.0, a=1.0),
+        dict(kind="power", p=1.0, a=1.0, delta=1.0),
+    ])
+    def test_p_outside_range_is_a_domain_error(self, kwargs):
+        with pytest.raises(DomainError, match="p must"):
+            Weight(**kwargs)
+
+
 class TestGrowthConstantsDerived:
     def test_not_fields(self):
         # c1 and c2 follow from the family; a Weight cannot contradict its phi
         names = [f.name for f in dataclasses.fields(Weight)]
         assert names == ["p", "a", "kind", "delta", "n"]
         w = Weight(p=2.0, a=1.5, kind="sine", delta=1.0, n=3)
-        assert w.c1 == (math.sin(1.5) / 1.5) ** 2 and w.c2 == 1.0
+        assert w.c1 == (math.sin(1.5) / 1.5) ** 2
         assert w.c1 == make_sine_weight(3, 2.0, 1.5).c1
 
 
