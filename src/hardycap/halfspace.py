@@ -162,7 +162,7 @@ def zeta_integrability_check(n, p, R):
     over a cap volume.  As eta'(T) = 0, an error in T enters only to second
     order.  Raises ``DomainError`` when the value overflows.
     """
-    R = _finite("R", R)
+    R, p = _finite("R", R), _finite("p", p)
     if R <= 0.0:
         raise DomainError(f"R must be > 0, got {R}")
     geom = _half_space_geometry(n)

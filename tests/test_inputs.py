@@ -17,7 +17,14 @@ from hardycap.eta import (
     tail_integral,
     tail_integrals,
 )
-from hardycap.halfspace import dirac_bump
+from hardycap.halfspace import (
+    SeparableField,
+    dirac_bump,
+    sharpness_sequence_halfspace,
+    verify_halfspace,
+    zeta,
+    zeta_integrability_check,
+)
 from hardycap.hardy1d import (
     A_k_B_k,
     GridFunction,
@@ -31,9 +38,12 @@ from hardycap.sphere import (
     SphericalProfile,
     cap_volume,
     check_polya_szego_radial,
+    extremal_V_hat_k,
     inverse_cap_volume,
     rho_many,
+    rho_star,
     spherical_rearrangement,
+    verify_sphere_theorem,
 )
 from hardycap.weights import SINE, Weight, make_sine_weight
 
@@ -43,10 +53,14 @@ GEOM = CapGeometry(3, HALF_PI)
 HAT = SphericalProfile(GEOM, GridFunction([0.0, 0.5, HALF_PI], [0.0, 1.0, 0.0]))
 SAMPLES = SampleSet([0.25, 0.5], [GEOM.measure / 2, GEOM.measure / 2])
 STEPS = spherical_rearrangement(SAMPLES, GEOM)
+FIELD = SeparableField(radial=dirac_bump(0.1, 2.0, 3), angular=HAT)
 
 NON_NUMBERS = ("0.5", None, math.nan, math.inf)
 #: a sequence index k is also refused at 0
 K_VALUES = NON_NUMBERS + (0,)
+#: an exponent p is also refused as a list: the cap's eta profile is cached
+#: on p, and hashing a list raised a bare TypeError
+P_VALUES = NON_NUMBERS + ([2.0],)
 
 ENTRY_POINTS = {
     "A_k_B_k": (lambda k: A_k_B_k(W, k), K_VALUES),
@@ -66,6 +80,15 @@ ENTRY_POINTS = {
     "cap_volume": (lambda alpha: cap_volume(3, alpha), NON_NUMBERS),
     "inverse_cap_volume": (lambda volume: inverse_cap_volume(3, volume), NON_NUMBERS),
     "rho_many": (lambda theta: rho_many(GEOM, 2.0, [theta]), NON_NUMBERS),
+    "rho_star_p": (lambda p: rho_star(GEOM, p, 0.5), P_VALUES),
+    "rho_many_p": (lambda p: rho_many(GEOM, p, [0.5]), P_VALUES),
+    "extremal_V_hat_k_p": (lambda p: extremal_V_hat_k(GEOM, p, 16), P_VALUES),
+    "verify_sphere_theorem_p": (lambda p: verify_sphere_theorem(GEOM, p, HAT), P_VALUES),
+    "zeta_p": (lambda p: zeta(3, p, 0.5), P_VALUES),
+    "zeta_integrability_check_p": (lambda p: zeta_integrability_check(3, p, 1.0), P_VALUES),
+    "sharpness_sequence_halfspace_p": (
+        lambda p: sharpness_sequence_halfspace(3, p, 16, 0.1), P_VALUES),
+    "verify_halfspace_p": (lambda p: verify_halfspace(3, p, FIELD), P_VALUES),
     "eta": (lambda t: eta(W, t), NON_NUMBERS),
     "eta_many": (lambda t: eta_many(W, [t]), NON_NUMBERS),
     "eta_bounds": (lambda t: eta_bounds(W, [t]), NON_NUMBERS),
