@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, DomainError, NumericalError, ParameterError
 from .eta import ENDPOINT_GUARD, tail_integral, tail_integrals
-from .quadrature import node_tail_integrals, panel_nodes, refine_breakpoints
+from .quadrature import ALL_GL16, node_tail_integrals, panel_nodes, panel_rules, refine_breakpoints
 from .weights import _finite, _finite_array
 
 #: nodes of the sampled extremal sequence elements
@@ -34,8 +34,9 @@ FIRST_CELL = 0.05
 #: quotient panel edges at these fractions of the way from a root of u to
 #: both ends of its cell (both neighbouring nodes, for a root at a node):
 #: |u|**p is only C**p at the root, and a 16-node Gauss panel that ends
-#: there loses 4.5e-7 relative for p = 1.2
-ROOT_GRADING = np.array([0.0, 0.0625, 0.25])
+#: there loses 4.5e-7 relative for p = 1.2; each level, 4 times closer to
+#: the root, cuts that loss by about 4**(p+1)
+ROOT_GRADING = np.array([0.0, 4.0**-4, 4.0**-3, 4.0**-2, 4.0**-1])
 
 
 @dataclass(frozen=True)
@@ -94,27 +95,39 @@ def _check_profile(w, prof, needed=True):
         raise ParameterError("pass this weight's profile, from find_truncation_point")
 
 
+def _singular(w):
+    """The weight's singular points and the endpoint a, where eta diverges."""
+    return (*w.singular_points, w.a)
+
+
 def _panel_edges(w, breakpoints, coarse):
-    """``refine_breakpoints`` over the breakpoints, honouring the weight's
-    singularities and the endpoint a, where eta diverges."""
-    singular = tuple(w.singular_points) + (w.a,)
-    return refine_breakpoints(breakpoints, singular=singular, coarse=coarse)
+    """``refine_breakpoints`` over the breakpoints, honouring ``_singular``."""
+    return refine_breakpoints(breakpoints, singular=_singular(w), coarse=coarse)
 
 
-def _sweep(w, pts):
-    """Everything the quotient integrals need on the panels ``pts``.
+def _sweep(w, pts, rules):
+    """Everything the quotient integrals need on the panels ``pts``, each
+    with its Gauss rule from ``rules``: ``panel_rules`` for the quotient's
+    one panel per cell, ``ALL_GL16`` for the pinned layout of ``A_k_B_k``.
 
-    Returns the ``panel_nodes(pts)`` nodes and weights, ``phi`` and
-    ``phi**(-1/(p-1))`` at the nodes, and the tail integral I of the
-    latter at the nodes and at the panel edges, from one sweep over the
-    panels.
+    Returns a ``(panels, x, weights, phi, inv_phi, tails)`` for each rule,
+    with the ``panel_nodes`` nodes and weights of its panels, ``phi`` and
+    ``inv_phi = phi**(-1/(p-1))`` at the nodes and the tail integral I of
+    the latter at the nodes; and I at the panel edges.  The tails come
+    from one sweep over the panels.
     """
-    x, wts = panel_nodes(pts)
-    phi = w.phi(x)
-    inv_phi = phi ** (-1.0 / (w.p - 1.0))  # as w.inv_phi_pow(x)
-    at_nodes, at_edges = node_tail_integrals(pts, x, inv_phi)
+    parts = []
+    for rule, panels in rules:
+        x, wts = panel_nodes(pts, rule, panels)
+        phi = w.phi(x)
+        inv_phi = phi ** (-1.0 / (w.p - 1.0))  # as w.inv_phi_pow(x)
+        parts.append((rule, panels, x, wts, phi, inv_phi))
+    at_nodes, at_edges = node_tail_integrals(
+        pts, [(rule, panels, x, inv_phi) for rule, panels, x, _, _, inv_phi in parts])
     beyond = tail_integral(w, pts[-1])
-    return x, wts, phi, inv_phi, at_nodes + beyond, at_edges + beyond
+    return ([(panels, x, wts, phi, inv_phi, tails + beyond)
+             for (_, panels, x, wts, phi, inv_phi), tails in zip(parts, at_nodes)],
+            at_edges + beyond)
 
 
 def _quotient_edges(w, u, T=None):
@@ -124,23 +137,27 @@ def _quotient_edges(w, u, T=None):
     u is linear on a cell, so the integrands are smooth there except at
     a root of u, where |u|**p is only C**p.  Panel edges are graded
     towards every root next to a nonzero value: a sign change inside a
-    cell, or an interior node where u is exactly 0.  The truncated
-    quotient passes T, the kink of eta_aT.
+    cell, or a node past the guard and before the last where u is exactly
+    0 (u is constant left of the first node).  The truncated quotient
+    passes T, the kink of eta_aT.
     """
     a = w.a
     guard_lo = a * ENDPOINT_GUARD
     guard_hi = a * (1.0 - ENDPOINT_GUARD)
     nodes, values = u.nodes, u.values
     sign = np.sign(values)
-    # the cells i where u changes sign, and the interior zero nodes j next
-    # to a nonzero value; the roots, their neighbouring nodes and the edges
-    # graded towards them
+    # the cells i where u changes sign, and the zero nodes j before the last
+    # next to a nonzero value (the first node's left neighbour is itself);
+    # the roots, their neighbouring nodes and the edges graded towards them
     i = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
-    j = 1 + np.flatnonzero((sign[1:-1] == 0.0) & ((sign[:-2] != 0.0) | (sign[2:] != 0.0)))
+    left = np.concatenate((sign[:1], sign[:-2]))
+    j = np.flatnonzero((sign[:-1] == 0.0) & ((left != 0.0) | (sign[1:] != 0.0)))
+    j = j[nodes[j] > guard_lo]  # the refinement towards 0 resolves a root there
     v0, v1 = values[i], values[i + 1]
     root = np.concatenate((nodes[i] + (nodes[i + 1] - nodes[i]) * (v0 / (v0 - v1)),
                            nodes[j]))[:, None]
-    lo, hi = nodes[np.concatenate((i, j - 1)), None], nodes[np.concatenate((i + 1, j + 1)), None]
+    lo = nodes[np.concatenate((i, np.maximum(j - 1, 0))), None]
+    hi = nodes[np.concatenate((i + 1, j + 1)), None]
     near_roots = np.concatenate((root - (root - lo) * ROOT_GRADING,
                                  root + (hi - root) * ROOT_GRADING), axis=None)
     # interior breakpoints: the nodes, T if given, guards
@@ -156,10 +173,14 @@ def hardy_quotient(w, prof, u, truncated=False):
     The numerator is exact per cell up to the phi quadrature (|u'| is
     constant on each cell); the denominator integrates |u|^p eta^p phi on
     one Gauss panel per cell, refined towards the singular points and
-    graded towards the roots of u.  The panels start at t0, or at
-    min(t0, T) when truncated, where eta_aT = eta, and the constant head
-    before them goes through the closed-form primitive I**(1-p)/(p-1) of
-    eta^p phi.  prof may be None when not truncated, with the same result.
+    graded towards the roots of u.  A panel takes 8 points where it is at
+    most ``GL8_RATIO`` of its distance from the weight's singular points,
+    from a and from the root of its linear piece of u, where |u|^p is
+    singular too, and 16 elsewhere (``quadrature.panel_rules``).  The
+    panels start at t0, or at min(t0, T) when truncated, where
+    eta_aT = eta, and the constant head before them goes through the
+    closed-form primitive I**(1-p)/(p-1) of eta^p phi.  prof may be None
+    when not truncated, with the same result.
     """
     _check_profile(w, prof, truncated)
     nodes, values = u.nodes, u.values
@@ -170,13 +191,24 @@ def hardy_quotient(w, prof, u, truncated=False):
         raise DegenerateInputError("grid function is identically zero")
 
     pts = _quotient_edges(w, u, prof.T if truncated else None)
+    # every grid node past the guard is a panel edge, so a panel lies in one
+    # cell, where u is linear; |u'| is 0 left of the grid
+    cell = np.searchsorted(nodes, 0.5 * (pts[:-1] + pts[1:]))
+    slopes = np.concatenate(([0.0], np.diff(values) / np.diff(nodes)))
+    # the root of each cell's linear piece, where |u|**p is singular too
+    # (none on a constant piece)
+    roots = nodes[:-1] - np.divide(values[:-1], slopes[1:],
+                                   out=np.full(len(nodes) - 1, np.inf), where=slopes[1:] != 0.0)
+    rules = panel_rules(pts, _singular(w), roots[cell - 1])
     # phi**(-1/(p-1)) overflows next to 0 on steep weights: raised, not warned
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        x, wts, phi_vals, inv_phi, tails, edge_tails = _sweep(w, pts)
-        eta_vals = inv_phi / tails
-        if truncated:
-            eta_vals = np.where(x > prof.T, prof.eta_at_T, eta_vals)
-        denominator = float(np.sum((np.abs(u(x)) * eta_vals) ** p * phi_vals * wts))
+        parts, edge_tails = _sweep(w, pts, rules)
+        denominator = 0.0
+        for _, x, wts, phi_vals, inv_phi, tails in parts:
+            eta_vals = inv_phi / tails
+            if truncated:
+                eta_vals = np.where(x > prof.T, prof.eta_at_T, eta_vals)
+            denominator += float(np.sum((np.abs(u(x)) * eta_vals) ** p * phi_vals * wts))
         # head [0, pts[0]], pts[0] <= t0 (and <= T): u = u(t0) and eta_aT = eta there
         denominator += abs(values[0]) ** p * edge_tails[0] ** (1.0 - p) / (p - 1.0)
     if not np.isfinite(denominator):
@@ -185,11 +217,9 @@ def hardy_quotient(w, prof, u, truncated=False):
     if denominator < 1e-300:
         raise DegenerateInputError("denominator vanished; degenerate input")
 
-    # numerator: |u'| is constant per cell and 0 left of the grid; every
-    # grid node past the guard is a panel edge, so a panel lies in one cell
-    slopes = np.concatenate(([0.0], np.diff(values) / np.diff(nodes)))
-    cell = np.searchsorted(nodes, 0.5 * (pts[:-1] + pts[1:]))
-    numerator = float(np.sum(np.abs(slopes[cell, None]) ** p * phi_vals * wts))
+    # numerator: |u'| is constant per panel
+    numerator = sum(float(np.sum(np.abs(slopes[cell[panels], None]) ** p * phi_vals * wts))
+                    for panels, _, wts, phi_vals, _, _ in parts)
 
     return QuotientReport(
         numerator=numerator,
@@ -298,7 +328,7 @@ def A_k_B_k(w, k):
     pts, _ = _panel_edges(w, np.array([s, guard_hi]), coarse=8)
     # phi**(-1/(p-1)) overflows next to 0 on steep weights: raised, not warned
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        _, wts, _, inv_phi, tails, edge_tails = _sweep(w, pts)
+        ((_, _, wts, _, inv_phi, tails),), edge_tails = _sweep(w, pts, ALL_GL16)
         a_k = float((1.0 - (edge_tails[0] / tail_integral(w, guard_lo)) ** (p - 1.0)) / (p - 1.0))
         b_k = float(np.sum(inv_phi / tails * wts))
     if not (np.isfinite(a_k) and np.isfinite(b_k)):

@@ -4,14 +4,14 @@ All integrands in this package are smooth away from a known, short list of
 singular abscissae (t = 0 for power weights, t = 0 and t = pi for sine
 weights, t = a for the tail-integral reciprocal).  Splitting the range into
 panels whose width shrinks geometrically towards those points keeps a fixed
-16-point Gauss rule at machine accuracy, and the whole computation stays
-vectorised in numpy.
+Gauss rule at machine accuracy, and the whole computation stays vectorised
+in numpy.  The rules are ``GL16`` (16 points) and ``GL8`` (8 points).
 
 The panel edges of a segment are the same bits whether it is refined
 alone or together with any number of others, given the same scale (the
 floor on a panel width and the stopping slack grow with the outermost
 breakpoints).  Two layouts are pinned bit for bit, with at least
-``coarse = 8`` panels per segment:
+``coarse = 8`` panels per segment and the 16-point rule:
 
 * ``_integrate``, the bare core behind ``integrate`` (and so
   ``eta.tail_integral``) and behind the golden-section ``eta._eta_at``:
@@ -27,21 +27,36 @@ breakpoints).  Two layouts are pinned bit for bit, with at least
 * ``hardy1d.A_k_B_k``: its body panels next to the endpoint guard carry a
   node-rounding artefact in B_k that perfbench/reference.json pins to 1e-9.
 
+``halfspace._radial_moment`` takes ``coarse = 8`` and 16 points too.
+
 ``segment_integrals`` and the Hardy quotient take one panel per segment
 (``coarse = 1``), split further only towards the singular points; the
-quotient's segments are its grid cells, whose integrands are smooth.
+quotient's segments are its grid cells, whose integrands are smooth.  A
+panel there takes 8 points where it is at most ``GL8_RATIO`` of its
+distance from every singular point, and 16 elsewhere or where fewer than
+``GL8_MIN`` panels would take 8 (``panel_rules``): the cells of the
+extremal grids are about 1% of that distance, and on them 8 points agree
+with 16 to rounding.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import legendre
 
 from .errors import DomainError
 
-GL_NODES, GL_WEIGHTS = legendre.leggauss(16)
+
+class GaussRule(NamedTuple):
+    """A Gauss-Legendre rule on [-1, 1] and its tail matrix: ``tail @ g``
+    integrates the interpolant of ``g`` from each node to 1."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    tail: np.ndarray
 
 
 def _tail_matrix(nodes, weights):
@@ -56,11 +71,28 @@ def _tail_matrix(nodes, weights):
     return -legendre.legval(nodes, legendre.legint(coef, lbnd=1.0)).T
 
 
-#: GL_TAIL @ g integrates the interpolant of g from each node to 1
-GL_TAIL = _tail_matrix(GL_NODES, GL_WEIGHTS)
+def _gauss_rule(size):
+    nodes, weights = legendre.leggauss(size)
+    return GaussRule(nodes, weights, _tail_matrix(nodes, weights))
+
+
+#: the rule of the pinned ``coarse = 8`` layouts, and of the wide panels
+#: of the one-panel-per-segment layouts
+GL16 = _gauss_rule(16)
+#: the rule of the narrow panels of the one-panel-per-segment layouts
+GL8 = _gauss_rule(8)
+#: the 16-point rule on every panel, as ``panel_rules`` pairs
+ALL_GL16 = [(GL16, slice(None))]
 
 #: panel width relative to the distance from the nearest singular point
 PANEL_RATIO = 0.2
+#: the widest panel, relative to its distance from the nearest singular
+#: point, that takes the 8-point rule in a one-panel-per-segment layout
+GL8_RATIO = 0.02
+#: fewest narrow panels that take the 8-point rule: on the few hundred
+#: panels of a hat quotient or of find_truncation_point's bracket grid,
+#: choosing the rules and a second set of nodes cost about what 8 points save
+GL8_MIN = 512
 #: narrowest panel, relative to the outermost breakpoint (or 1, if larger)
 WIDTH_FLOOR = 1e-15
 #: fewest unfinished segments refined in lockstep; on a handful of
@@ -188,17 +220,48 @@ def check_resolved(lo, hi, singular):
             )
 
 
-def panel_nodes(points):
-    """Gauss-Legendre nodes and weights for consecutive panels.
+def panel_rules(points, singular, roots=None):
+    """The Gauss rule of each panel of a one-panel-per-segment layout, as
+    ``(rule, panels)`` pairs: ``GL8`` on the panels at most ``GL8_RATIO``
+    of their distance from every singular point and from their own entry
+    of ``roots`` (one more singular point per panel, if given), if there
+    are at least ``GL8_MIN`` of them, and ``GL16`` on the others.
+
+    Panels are refined to ``PANEL_RATIO`` of that distance, and on such a
+    panel 8 points lose far more than 16 where the integrand is steep:
+    tail sums of ``t**-51`` are off by 6e-8 against 6e-15, and a quotient
+    with p = 32 peaked on cells whose linear pieces vanish close by is off
+    by 5.1e-4 (``tests/test_quadrature.py``).
+    """
+    if len(points) <= GL8_MIN:
+        return ALL_GL16
+    lo, hi = points[:-1], points[1:]
+    distance = math.inf if roots is None else np.maximum(lo - roots, roots - hi)
+    for s in singular:
+        distance = np.minimum(distance, np.maximum(lo - s, s - hi))
+    narrow = hi - lo <= GL8_RATIO * distance
+    count = np.count_nonzero(narrow)
+    if count == len(narrow):
+        return [(GL8, slice(None))]
+    if count < GL8_MIN:
+        return ALL_GL16
+    return [(GL8, narrow), (GL16, ~narrow)]
+
+
+def panel_nodes(points, rule=GL16, panels=None):
+    """Gauss-Legendre nodes and weights of ``rule`` on the ``panels`` (all,
+    by default) of consecutive panels.
 
     ``points`` is a sorted 1-D array of panel edges; the returned node
     array is globally increasing.
     """
     lo, hi = points[:-1], points[1:]
+    if panels is not None:
+        lo, hi = lo[panels], hi[panels]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * GL_NODES
-    w = half[:, None] * GL_WEIGHTS
+    x = mid[:, None] + half[:, None] * rule.nodes
+    w = half[:, None] * rule.weights
     return x, w
 
 
@@ -226,29 +289,41 @@ def _integrate(f, lo, hi, singular):
 
 
 def segment_integrals(f, breakpoints, singular=()):
-    """Integral of ``f`` over each consecutive segment of ``breakpoints``."""
+    """Integral of ``f`` over each consecutive segment of ``breakpoints``:
+    one panel per segment, split further towards ``singular``, each with
+    its rule from ``panel_rules``."""
     pts, counts = refine_breakpoints(breakpoints, singular, coarse=1)
-    x, w = panel_nodes(pts)
-    per_panel = np.sum(f(x) * w, axis=1)
+    per_panel = np.empty(len(pts) - 1)
+    for rule, panels in panel_rules(pts, singular):
+        x, w = panel_nodes(pts, rule, panels)
+        per_panel[panels] = np.sum(f(x) * w, axis=1)
     starts = np.cumsum(counts) - counts
     return np.add.reduceat(per_panel, starts)
 
 
-def node_tail_integrals(points, x, g):
+def node_tail_integrals(points, parts):
     """Integral of ``f`` from every quadrature node to ``points[-1]``.
 
-    ``x`` and ``g`` are the ``panel_nodes(points)`` nodes and the values of
-    ``f`` at them.  No further evaluation of ``f`` is made: the integral
-    from a node to its panel's end interpolates ``f`` on that panel, and
-    the later panels are suffix-summed.  Returns ``(at_nodes, at_edges)``,
-    the integral from each node (shaped like ``x``) and from each panel
-    edge (one more entry than panels).
+    ``parts`` holds a ``(rule, panels, x, g)`` for each rule of the panels
+    (``panel_rules``, or ``ALL_GL16``): ``x`` and ``g`` are the
+    ``panel_nodes(points, rule, panels)`` nodes and the values of ``f`` at
+    them.  No further evaluation of ``f`` is made: the integral from a
+    node to its panel's end interpolates ``f`` on that panel, and the
+    later panels are suffix-summed.  Returns ``(at_nodes, at_edges)``: the
+    integral from each node, one array shaped like ``x`` per part, and
+    from each panel edge (one more entry than panels).
     """
     half = 0.5 * np.diff(points)
-    right = points[1:, None]
-    # the stored node is rounded; integrate from it, not from the exact
-    # node mid + half*xi, which matters where the panel end is close to x
-    within = half[:, None] * (g @ GL_TAIL.T)
-    within += g * ((right - x) - half[:, None] * (1.0 - GL_NODES))
-    at_edges = np.append(np.cumsum((half * (g @ GL_WEIGHTS))[::-1])[::-1], 0.0)
-    return within + at_edges[1:, None], at_edges
+    per_panel = np.empty(len(half))
+    for rule, panels, _, g in parts:
+        per_panel[panels] = half[panels] * (g @ rule.weights)
+    at_edges = np.append(np.cumsum(per_panel[::-1])[::-1], 0.0)
+    at_nodes = []
+    for rule, panels, x, g in parts:
+        h = half[panels, None]
+        # the stored node is rounded; integrate from it, not from the exact
+        # node mid + h*xi, which matters where the panel end is close to x
+        within = h * (g @ rule.tail.T)
+        within += g * ((points[1:][panels, None] - x) - h * (1.0 - rule.nodes))
+        at_nodes.append(within + at_edges[1:][panels, None])
+    return at_nodes, at_edges

@@ -304,7 +304,7 @@ def _cap_eta_profile(n, p, a_star):
 def rho_star(geom, p, theta):
     """The weight rho: (p-1)/(n-p) * eta_T(theta) inside the cap, frozen
     at its plateau value outside."""
-    return float(rho_many(geom, p, [theta])[0])
+    return float(rho_many(geom, p, [_finite("theta", theta)])[0])
 
 
 def rho_many(geom, p, thetas):

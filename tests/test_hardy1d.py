@@ -13,6 +13,7 @@ from hardycap.hardy1d import (
     A_k_B_k,
     GridFunction,
     _quotient_edges,
+    _singular,
     _sweep,
     convergence_study,
     extremal_U_k,
@@ -20,7 +21,7 @@ from hardycap.hardy1d import (
     hardy_quotient,
     sharp_constant,
 )
-from hardycap.quadrature import refine_breakpoints
+from hardycap.quadrature import panel_rules, refine_breakpoints
 from hardycap.weights import make_power_weight, make_sine_weight
 
 HALF_PI = math.pi / 2
@@ -274,15 +275,17 @@ class TestSignChangingGrids:
 
 
 class TestZeroValuedNodes:
-    """An interior node where u is exactly 0 next to a nonzero value is a
-    root of u at a cell end: |u|**p is only C**p there, so the panels are
-    graded towards it as towards a sign change.  Without the grading these
-    quotients are off by up to 1.1e-8 for p = 1.2."""
+    """A node before the last where u is exactly 0 next to a nonzero value
+    is a root of u at a cell end: |u|**p is only C**p there, so the panels
+    are graded towards it as towards a sign change.  Without the grading
+    these quotients are off by up to 2.6e-8 for p = 1.2; values3, a root at
+    the first node, was off by 4.3e-9 when only interior nodes were graded."""
 
     @pytest.mark.parametrize("values", [
         [0.5, 0.0, -0.7, 0.3, 0.0],
         [0.5, 0.0, 0.7, 0.3, 0.0],
         [0.5, 0.3, 0.0, 0.0, 0.0],
+        [0.0, 0.5, -0.7, 0.3, 0.0],
     ])
     @pytest.mark.parametrize("p", [1.2, 1.5])
     @pytest.mark.parametrize("truncated", [False, True])
@@ -477,7 +480,9 @@ class TestNodeTails:
         w = make(*args)
         prof = find_truncation_point(w)
         pts = _quotient_edges(w, extremal_V_k(w, prof, 4096), prof.T)
-        x, _, _, _, tails, edge_tails = _sweep(w, pts)
+        parts, edge_tails = _sweep(w, pts, panel_rules(pts, _singular(w)))
+        x = np.concatenate([part[1].ravel() for part in parts])
+        tails = np.concatenate([part[5].ravel() for part in parts])
         assert np.any(w.a - x < 1e-11 * w.a)  # nodes right next to a are covered
         assert_allclose(tails, closed(x, w.a), rtol=1e-12)
         assert_allclose(edge_tails, closed(pts, w.a), rtol=1e-12)
@@ -503,14 +508,17 @@ class TestQuotientPinned:
     of the one-panel-per-cell layout.  Against closed-form cell integrals
     and ``quad`` (up to the endpoint guard) the numerators agree to 7.4e-13
     and the denominators to 2.7e-11; the U_16 denominators carry the
-    rounding noise of the Gauss nodes in the cells next to a."""
+    rounding noise of the Gauss nodes in the cells next to a.  The power
+    U_16 denominator is 3.5e-11 above a per-cell 30-digit mpmath oracle,
+    with 16 Gauss points on every panel and with 8 on the narrow ones; the
+    two differ by 6.4e-14."""
 
     @pytest.mark.parametrize("make,args,u_16,v_4096", [
         (make_sine_weight, (3, 2.0, HALF_PI),
          (6.368325044452964, 23.47387986840375),
          (3.8275698383795813, 9.630035157762673)),
         (make_power_weight, (2.5, 0.5, 1.0),
-         (6.770845754565013, 22.36197991376202),
+         (6.770845754565013, 22.361979913763452),
          (3.170618524702577, 4.823771885441397)),
     ])
     def test_numerator_and_denominator(self, make, args, u_16, v_4096):

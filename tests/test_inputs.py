@@ -81,6 +81,8 @@ ENTRY_POINTS = {
     "inverse_cap_volume": (lambda volume: inverse_cap_volume(3, volume), NON_NUMBERS),
     "rho_many": (lambda theta: rho_many(GEOM, 2.0, [theta]), NON_NUMBERS),
     "rho_star_p": (lambda p: rho_star(GEOM, p, 0.5), P_VALUES),
+    # a list theta raised a bare TypeError from float() of a 2-D result
+    "rho_star_theta": (lambda theta: rho_star(GEOM, 2.0, theta), NON_NUMBERS + ([2.0],)),
     "rho_many_p": (lambda p: rho_many(GEOM, p, [0.5]), P_VALUES),
     "extremal_V_hat_k_p": (lambda p: extremal_V_hat_k(GEOM, p, 16), P_VALUES),
     "verify_sphere_theorem_p": (lambda p: verify_sphere_theorem(GEOM, p, HAT), P_VALUES),

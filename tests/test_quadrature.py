@@ -1,3 +1,5 @@
+import contextlib
+import importlib
 import math
 from unittest import mock
 
@@ -9,11 +11,12 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from hardycap import hardy1d, quadrature
-from hardycap.errors import DomainError
-from hardycap.eta import ENDPOINT_GUARD, find_truncation_point
+from hardycap.errors import DomainError, HardyError
+from hardycap.eta import ENDPOINT_GUARD, find_truncation_point, tail_integrals
 from hardycap.quadrature import (
-    GL_NODES,
-    GL_TAIL,
+    ALL_GL16,
+    GL8,
+    GL16,
     LOCKSTEP_MIN,
     PANEL_RATIO,
     integrate,
@@ -22,7 +25,9 @@ from hardycap.quadrature import (
     refine_breakpoints,
     segment_integrals,
 )
-from hardycap.weights import make_sine_weight
+from hardycap.weights import SINE, make_power_weight, make_sine_weight
+
+eta_module = importlib.import_module("hardycap.eta")
 
 
 def test_polynomial_exact():
@@ -104,16 +109,23 @@ def test_panel_nodes_increasing():
 
 @pytest.mark.parametrize("degree", range(16))
 def test_tail_matrix_exact_on_polynomials(degree):
-    # GL_TAIL @ xi**m integrates xi**m from each node to 1
-    exact = (1.0 - GL_NODES ** (degree + 1)) / (degree + 1)
-    assert_allclose(GL_TAIL @ GL_NODES**degree, exact, rtol=0, atol=1e-14)
+    # GL16.tail @ xi**m integrates xi**m from each node to 1
+    exact = (1.0 - GL16.nodes ** (degree + 1)) / (degree + 1)
+    assert_allclose(GL16.tail @ GL16.nodes**degree, exact, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("degree", range(8))
+def test_tail_matrix8_exact_on_polynomials(degree):
+    # GL8.tail @ xi**m integrates xi**m from each node to 1
+    exact = (1.0 - GL8.nodes ** (degree + 1)) / (degree + 1)
+    assert_allclose(GL8.tail @ GL8.nodes**degree, exact, rtol=0, atol=1e-14)
 
 
 def test_node_tail_integrals_vs_closed_form():
     # integral_x^1 t**-2 dt = 1/x - 1, towards a singular point at 0
     pts, _ = refine_breakpoints(np.array([1e-6, 0.3, 1.0]), singular=(0.0,))
     x, _ = panel_nodes(pts)
-    at_nodes, at_edges = node_tail_integrals(pts, x, x**-2.0)
+    (at_nodes,), at_edges = node_tail_integrals(pts, [(GL16, slice(None), x, x**-2.0)])
     assert_allclose(at_nodes, (1.0 - x) / x, rtol=1e-13)
     assert_allclose(at_edges, (1.0 - pts) / pts, rtol=1e-13, atol=1e-15)
     assert at_edges[-1] == 0.0
@@ -264,3 +276,101 @@ def test_march_same_as_builtin_loop(cur, length, share, floor, slack, singular):
     args = (cur, share * length, hi, hi - slack * scale, singular, floor * scale)
     edges = quadrature._march(*args)
     assert [x.hex() for x in edges] == [x.hex() for x in _builtin_march(*args)]
+
+
+def _segment_integrals_16(f, breakpoints, singular=()):
+    """``segment_integrals`` with 16 Gauss points on the same panels."""
+    pts, counts = refine_breakpoints(breakpoints, singular, coarse=1)
+    x, w = panel_nodes(pts, GL16)
+    return np.add.reduceat(np.sum(f(x) * w, axis=1), np.cumsum(counts) - counts)
+
+
+def _assert_same_with_16_points(call, rtol):
+    """``call()`` agrees to ``rtol`` with the rules of ``panel_rules`` and
+    with 16 Gauss points on every panel of ``tail_integrals`` and
+    ``hardy_quotient``, or raises the same error both ways (where the
+    weight overflows)."""
+    try:
+        eight = call()
+    except HardyError as err:
+        eight = err
+    sweep = hardy1d._sweep
+    with mock.patch.object(eta_module, "segment_integrals", _segment_integrals_16), \
+            mock.patch.object(hardy1d, "_sweep", lambda w, pts, rules: sweep(w, pts, ALL_GL16)):
+        if isinstance(eight, HardyError):
+            with pytest.raises(type(eight)):
+                call()
+            return
+        sixteen = call()
+    assert_allclose(eight, sixteen, rtol=rtol, atol=0)
+
+
+@st.composite
+def _weights(draw):
+    """Weights with growth e = delta/(p-1) up to 100: power weights, and
+    sine weights with n up to 60 and a up to pi - 1e-6."""
+    if draw(st.booleans()):
+        p, e = draw(st.floats(1.1, 4.0)), draw(st.floats(0.01, 100.0))
+        return make_power_weight(p, e * (p - 1.0), draw(st.floats(0.5, 4.0)))
+    n = draw(st.integers(2, 60))
+    return make_sine_weight(n, draw(st.floats(max(1.1, (n + 100.0) / 101.0), n - 0.1)),
+                            draw(st.floats(0.5, math.pi - 1e-6)))
+
+
+@given(_weights(), st.integers(0, 2**32 - 1))
+@example(make_power_weight(2.5, 0.5, 1.0), 0)
+@example(make_power_weight(1.5, 50.0, 1.0), 0)  # e = 100
+@example(make_sine_weight(6, 1.5, 3.0), 0)
+@example(make_sine_weight(3, 2.0, math.pi - 1e-6), 0)
+@settings(max_examples=40, deadline=None)
+def test_eight_points_agree_with_sixteen(w, seed):
+    # the one-panel-per-segment layouts take 8 Gauss points on their narrow
+    # panels, which is the 16-point rule to rounding.  Next to pi both lose
+    # up to ulp(pi)/(pi - a) to the rounding of their nodes (the
+    # tail_integral docstring), each at its own nodes: at a = pi - 1e-6,
+    # 2.4e-11 against cot t - cot a, and 5.9e-13 apart
+    rtol = 1e-13 + (math.ulp(math.pi) / (math.pi - w.a) if w.kind == SINE else 0.0)
+    # where phi is subnormal its rounding sets the error of both rules
+    # (power (4, 258, 1) at 1/16: 2.3e-13 and 4.5e-13 off the closed form)
+    assume(float(w.phi(1e-3 * w.a)) >= np.finfo(float).tiny)
+    try:
+        prof = find_truncation_point(w)
+    except HardyError:
+        prof = None  # the bracket grid overflows: no truncated quotients
+    rng = np.random.default_rng(seed)
+    points = np.sort(rng.uniform(1e-3, 0.999, 5)) * w.a
+    _assert_same_with_16_points(lambda: tail_integrals(w, points), rtol)
+    nodes = np.append(np.sort(rng.uniform(0.0, w.a, 4)), w.a)
+    values = np.append(rng.uniform(-1.0, 1.0, 4), 0.0)
+    hat = hardy1d.GridFunction([0.0, 0.5 * w.a, w.a], [0.0, 1.0, 0.0])  # the CLI's
+    grids = [(hardy1d.GridFunction(nodes, values), False, rtol), (hat, False, rtol)]
+    if prof is not None:
+        grids.append((hat, True, rtol))
+    with contextlib.suppress(HardyError):
+        u = hardy1d.extremal_U_k(w, 16)
+        _assert_same_with_16_points(lambda: tail_integrals(w, u.nodes[:-1]), rtol)
+        # the nodes within 1e-6 a of a round differently under the two
+        # rules: 4e-13 apart at most over 1200 drawn weights
+        grids.append((u, False, rtol + 1e-12))
+    if prof is not None:
+        with contextlib.suppress(HardyError):
+            grids.append((hardy1d.extremal_V_k(w, prof, 256), True, rtol))
+    for u, truncated, tol in grids:
+        _assert_same_with_16_points(
+            lambda: _parts(hardy1d.hardy_quotient(w, prof, u, truncated)), tol)
+
+
+def test_steep_linear_piece_takes_16_points():
+    # |u|**32 peaks at the one node where u is 1, not 0.1; the linear pieces
+    # on both sides vanish 1/9 of a cell past their ends.  With 8 points on
+    # those two cells, which are narrow for 0, pi and a, the denominator
+    # was off by 5.1e-4
+    w = make_sine_weight(42, 32.2188936043928, 1.4966273553222451)
+    values = np.full(1001, 0.1)
+    values[500] = 1.0
+    u = hardy1d.GridFunction(np.append(np.linspace(0.2, 1.3, 1001), w.a), np.append(values, 0.0))
+    _assert_same_with_16_points(lambda: _parts(hardy1d.hardy_quotient(w, None, u)), 1e-13)
+
+
+def _parts(rep):
+    return rep.numerator, rep.denominator
