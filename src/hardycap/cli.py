@@ -2,9 +2,9 @@
 
 Every subcommand writes exactly one table (CSV with a header row, or a
 JSON object with ``meta`` and ``rows``) to stdout or to ``--out``.  Exit
-codes: 0 success, 2 parameter error, 3 numerical failure, 4 inequality
-violated beyond tolerance (which signals a bug, never expected output).
-All angles are radians.
+codes: 0 success, 2 parameter error or unwritable ``--out``, 3 numerical
+failure, 4 inequality violated beyond tolerance (which signals a bug,
+never expected output).  All angles are radians.
 """
 
 from __future__ import annotations
@@ -61,8 +61,11 @@ def _emit(args, meta, header, rows):
                      for row in rows)
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:  # a missing directory, a read-only file
+            raise ParameterError(f"cannot write --out: {exc}") from exc
     else:
         sys.stdout.write(text)
 

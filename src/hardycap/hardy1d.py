@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import DegenerateInputError, DomainError, NumericalError, ParameterError
 from .eta import ENDPOINT_GUARD, tail_integral, tail_integrals
-from .quadrature import ALL_GL16, node_tail_integrals, panel_nodes, panel_rules, refine_breakpoints
+from .quadrature import (ALL_GL16, _eight_panels, node_tail_integrals, panel_nodes, panel_rules,
+                         refine_breakpoints)
 from .weights import _finite, _finite_array
 
 #: nodes of the sampled extremal sequence elements
@@ -100,11 +101,6 @@ def _singular(w):
     return (*w.singular_points, w.a)
 
 
-def _panel_edges(w, breakpoints, coarse):
-    """``refine_breakpoints`` over the breakpoints, honouring ``_singular``."""
-    return refine_breakpoints(breakpoints, singular=_singular(w), coarse=coarse)
-
-
 def _sweep(w, pts, rules):
     """Everything the quotient integrals need on the panels ``pts``, each
     with its Gauss rule from ``rules``: ``panel_rules`` for the quotient's
@@ -164,7 +160,7 @@ def _quotient_edges(w, u, T=None):
     interior = nodes[nodes > guard_lo]
     bp = np.concatenate(([max(nodes[0], guard_lo)], interior, near_roots,
                          [] if T is None else [T]))
-    return _panel_edges(w, np.unique(np.clip(bp, guard_lo, guard_hi)), coarse=1)[0]
+    return refine_breakpoints(np.unique(np.clip(bp, guard_lo, guard_hi)), _singular(w))[0]
 
 
 def hardy_quotient(w, prof, u, truncated=False):
@@ -325,7 +321,7 @@ def A_k_B_k(w, k):
     guard_hi = a * (1.0 - ENDPOINT_GUARD)
     if not guard_lo < s < guard_hi:
         raise DomainError(f"1/k = {s} must lie in ({guard_lo:.3e}, {guard_hi:.6g})")
-    pts, _ = _panel_edges(w, np.array([s, guard_hi]), coarse=8)
+    pts = _eight_panels(s, guard_hi, _singular(w))
     # phi**(-1/(p-1)) overflows next to 0 on steep weights: raised, not warned
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ((_, _, wts, _, inv_phi, tails),), edge_tails = _sweep(w, pts, ALL_GL16)

@@ -7,36 +7,26 @@ panels whose width shrinks geometrically towards those points keeps a fixed
 Gauss rule at machine accuracy, and the whole computation stays vectorised
 in numpy.  The rules are ``GL16`` (16 points) and ``GL8`` (8 points).
 
-The panel edges of a segment are the same bits whether it is refined
-alone or together with any number of others, given the same scale (the
-floor on a panel width and the stopping slack grow with the outermost
-breakpoints).  Two layouts are pinned bit for bit, with at least
-``coarse = 8`` panels per segment and the 16-point rule:
+``refine_breakpoints`` lays out one panel per segment, split further only
+towards the singular points.  The edges of a segment are the same bits
+whether it is refined alone or with any number of others, given the same
+scale (the width floor and the stopping slack grow with the outermost
+breakpoints).  ``segment_integrals`` and the Hardy quotient take this
+layout, the quotient's segments being its grid cells, whose integrands
+are smooth.  A panel there takes 8 points where it is at most
+``GL8_RATIO`` of its distance from every singular point, and 16 elsewhere
+or where fewer than ``GL8_MIN`` panels would take 8 (``panel_rules``): the
+cells of the extremal grids are about 1% of that distance, and on them 8
+points agree with 16 to rounding.  The half-space radial moment takes 16
+points on every panel, refined towards the roots of its radial factor.
 
-* ``_integrate``, the bare core behind ``integrate`` (and so
-  ``eta.tail_integral``) and behind the golden-section ``eta._eta_at``:
-  the truncation point T is built from its one-segment integrals and
-  moves by up to 1.6e-8 under one-ulp changes in them.  It marches its
-  one segment with ``_march`` directly, without the array set-up of
-  ``refine_breakpoints``.  Its edges are the same bits: fewer than
-  ``LOCKSTEP_MIN`` segments go from ``refine_breakpoints`` to the same
-  ``_march``, with a base, stop and floor from the same float64
-  operations on the same ends.  ``panel_nodes`` and the sum over the
-  nodes are the pinned node positions and summation order of this
-  layout;
-* ``hardy1d.A_k_B_k``: its body panels next to the endpoint guard carry a
-  node-rounding artefact in B_k that perfbench/reference.json pins to 1e-9.
-
-``halfspace._radial_moment`` takes ``coarse = 8`` and 16 points too.
-
-``segment_integrals`` and the Hardy quotient take one panel per segment
-(``coarse = 1``), split further only towards the singular points; the
-quotient's segments are its grid cells, whose integrands are smooth.  A
-panel there takes 8 points where it is at most ``GL8_RATIO`` of its
-distance from every singular point, and 16 elsewhere or where fewer than
-``GL8_MIN`` panels would take 8 (``panel_rules``): the cells of the
-extremal grids are about 1% of that distance, and on them 8 points agree
-with 16 to rounding.
+``_eight_panels`` builds the one layout pinned bit for bit, at least eight
+16-point panels on one segment, for ``_integrate`` (behind ``integrate``,
+so ``eta.tail_integral``, and the golden-section ``eta._eta_at``, whose T
+moves by up to 1.6e-8 under one-ulp changes in those integrals) and
+``hardy1d.A_k_B_k`` (whose body panels next to the endpoint guard carry a
+B_k node-rounding artefact that perfbench/reference.json pins to 1e-9).
+``panel_nodes`` and the sum over its nodes are the pinned node order.
 """
 
 from __future__ import annotations
@@ -76,8 +66,8 @@ def _gauss_rule(size):
     return GaussRule(nodes, weights, _tail_matrix(nodes, weights))
 
 
-#: the rule of the pinned ``coarse = 8`` layouts, and of the wide panels
-#: of the one-panel-per-segment layouts
+#: the rule of the pinned eight-panel layout, and of the wide panels of
+#: the one-panel-per-segment layouts
 GL16 = _gauss_rule(16)
 #: the rule of the narrow panels of the one-panel-per-segment layouts
 GL8 = _gauss_rule(8)
@@ -136,15 +126,14 @@ def _march(cur, base, hi, stop, singular, floor):
         append(cur)
 
 
-def refine_breakpoints(breakpoints, singular=(), coarse=8):
+def refine_breakpoints(breakpoints, singular):
     """Subdivide a sorted breakpoint array into quadrature panels.
 
-    Each returned panel has width at most ``PANEL_RATIO`` times its
-    distance to every point in ``singular`` and at most ``1/coarse`` of the
-    segment it came from.  Returns ``(points, counts)`` where ``counts[i]``
-    is the number of panels the i-th input segment was split into.
-    Raises ``DomainError`` on a breakpoint or singular point that is not
-    finite.
+    Each returned panel lies in one segment and has width at most
+    ``PANEL_RATIO`` times its distance to every point in ``singular``.
+    Returns ``(points, counts)`` where ``counts[i]`` is the number of
+    panels the i-th input segment was split into.  Raises ``DomainError``
+    on a breakpoint or singular point that is not finite.
 
     Every unfinished segment advances one panel per numpy step, and the
     last ``LOCKSTEP_MIN - 1`` or fewer are finished one panel at a time in
@@ -167,14 +156,13 @@ def refine_breakpoints(breakpoints, singular=(), coarse=8):
             f"breakpoints must not decrease, got {float(hi[i])!r} after {float(lo[i])!r}")
     scale = max(abs(first), abs(last), 1.0)
     floor = WIDTH_FLOOR * scale
-    base = span / coarse
     stop = hi - 1e-16 * scale
 
     counts = np.empty(len(lo), dtype=np.intp)
     seg, cur = np.arange(len(lo)), lo
     steps = []  # (segments, edge each emitted) per lockstep step
     while len(seg) >= LOCKSTEP_MIN:
-        width = base[seg]
+        width = span[seg]
         for s in singular:
             width = np.minimum(width, PANEL_RATIO * np.abs(cur - s))
         nxt = cur + np.maximum(width, floor)
@@ -185,7 +173,7 @@ def refine_breakpoints(breakpoints, singular=(), coarse=8):
         seg, cur = seg[going], nxt[going]
     rest = [
         _march(c, b, h, t, singular, floor)
-        for c, b, h, t in zip(cur.tolist(), base[seg].tolist(),
+        for c, b, h, t in zip(cur.tolist(), span[seg].tolist(),
                               hi[seg].tolist(), stop[seg].tolist())
     ]
 
@@ -198,6 +186,14 @@ def refine_breakpoints(breakpoints, singular=(), coarse=8):
     for i, edges in zip((first[seg] + len(steps)).tolist(), rest):
         out[i:i + len(edges)] = edges
     return out, counts
+
+
+def _eight_panels(lo, hi, singular):
+    """Edges of the pinned layout of [lo, hi], finite float ends: panels at
+    most an eighth of it wide, refined towards ``singular``."""
+    scale = max(abs(lo), abs(hi), 1.0)
+    return np.array([lo, *_march(lo, (hi - lo) / 8, hi, hi - 1e-16 * scale,
+                                 singular, WIDTH_FLOOR * scale)])
 
 
 def check_resolved(lo, hi, singular):
@@ -265,13 +261,10 @@ def panel_nodes(points, rule=GL16, panels=None):
     return x, w
 
 
-def integrate(f, lo, hi, singular=()):
-    """Integrate a vectorised callable over [lo, hi].
-
-    Its one segment is marched in Python floats, with the edges of
-    ``refine_breakpoints([lo, hi], singular, coarse=8)``, bit for bit.
-    Raises ``DomainError`` on an end or singular point that is not finite.
-    """
+def integrate(f, lo, hi, singular):
+    """Integrate a vectorised callable over [lo, hi] on the pinned layout
+    of ``_eight_panels``, 16 points a panel.  Raises ``DomainError`` on an
+    end or singular point that is not finite."""
     lo, hi = float(lo), float(hi)
     _check_finite((lo, hi, *singular))
     if hi <= lo:
@@ -282,17 +275,15 @@ def integrate(f, lo, hi, singular=()):
 def _integrate(f, lo, hi, singular):
     """``integrate`` without its checks: finite float ends with
     ``lo < hi`` and finite singular points (a NaN end would march forever)."""
-    scale = max(abs(lo), abs(hi), 1.0)
-    edges = _march(lo, (hi - lo) / 8, hi, hi - 1e-16 * scale, singular, WIDTH_FLOOR * scale)
-    x, w = panel_nodes(np.array([lo, *edges]))
+    x, w = panel_nodes(_eight_panels(lo, hi, singular))
     return float((f(x) * w).sum())
 
 
-def segment_integrals(f, breakpoints, singular=()):
+def segment_integrals(f, breakpoints, singular):
     """Integral of ``f`` over each consecutive segment of ``breakpoints``:
     one panel per segment, split further towards ``singular``, each with
     its rule from ``panel_rules``."""
-    pts, counts = refine_breakpoints(breakpoints, singular, coarse=1)
+    pts, counts = refine_breakpoints(breakpoints, singular)
     per_panel = np.empty(len(pts) - 1)
     for rule, panels in panel_rules(pts, singular):
         x, w = panel_nodes(pts, rule, panels)

@@ -160,6 +160,16 @@ class TestOutputFile:
         quotient = float(lines[1].split(",")[2])
         assert abs(quotient - 0.5431485588777438) < 1e-6
 
+    def test_out_in_missing_directory_exits_2(self, tmp_path, capsys):
+        # printed a FileNotFoundError traceback and exited 1
+        target = tmp_path / "missing" / "x.csv"
+        argv = ["find-T", "--weight", "sine", "--n", "3", "--p", "2", "--a", "1.5",
+                "--out", str(target)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert str(target) in captured.err and not target.parent.exists()
+
     def test_csv_17_digits(self):
         proc = run_cli("find-T", "--weight", "power", "--p", "2", "--a", "1",
                        "--delta", "1")

@@ -6,7 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from hardycap.errors import DegenerateInputError, DomainError, ParameterError
+from hardycap import halfspace
+from hardycap.errors import DegenerateInputError, DomainError, NumericalError, ParameterError
 from hardycap.halfspace import (
     SeparableField,
     dirac_bump,
@@ -123,6 +124,14 @@ class TestVerifyHalfspace:
         with pytest.raises(ParameterError, match="n=7"):
             verify_halfspace(7, 2.0, SeparableField(r, theta))
 
+    def test_overflowing_radial_moment_raises(self):
+        # r**(n-p) overflows on this support: the report held inf (NaN with
+        # the panels refined towards the roots of R) and a RuntimeWarning
+        theta = SphericalProfile(CapGeometry(10, HALF_PI), _angular_profile(np.cos).grid)
+        r = GridFunction(np.array([1e40, 2e40, 3e40]), np.array([0.0, 1.0, 0.0]))
+        with pytest.raises(NumericalError, match="radial moment"):
+            verify_halfspace(10, 2.0, SeparableField(r, theta))
+
     def test_bad_radial_support(self):
         theta = _angular_profile(lambda t: np.cos(t))
         with pytest.raises(ParameterError):
@@ -181,6 +190,41 @@ class TestDiracBump:
     def test_bad_eps(self):
         with pytest.raises(ParameterError):
             dirac_bump(0.7, 2.0, 3)
+
+    @pytest.mark.parametrize("eps", [1e-3, 0.3])
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 2.5])
+    def test_radial_moments_against_mpmath(self, p, n, eps):
+        # R**p is only C**p at the bump's ends: with eight panels a cell and
+        # no refinement towards them the moments were off by up to 8.5e-9
+        # (p = 1.1)
+        raw = GridFunction(np.array([1.0 - eps, 1.0, 1.0 + eps]), np.array([0.0, 1.0, 0.0]))
+        got = halfspace._radial_moments(raw, p, n, n - p)
+        with mpmath.workdps(40):
+            e = mpmath.mpf(eps)
+            for moment, power in zip(got, (n, n - p)):
+                def f(r):
+                    return (1 - abs(r - 1) / e) ** mpmath.mpf(p) * r ** mpmath.mpf(power)
+                exact = mpmath.quad(f, [1 - e, 1]) + mpmath.quad(f, [1, 1 + e])
+                assert abs(moment / exact - 1) < 1e-12
+
+    def test_radial_moments_at_interior_roots(self):
+        # a sign change inside a cell (at r = 4/3) and a zero node between
+        # nonzero cells (r = 2) are roots of R too
+        nodes, values = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0], [0.0, 1.0, -0.5, 0.0, 0.7, 0.0]
+        p, power = 1.2, 2.0
+        (got,) = halfspace._radial_moments(
+            GridFunction(np.array(nodes), np.array(values)), p, power)
+        with mpmath.workdps(40):
+            exact = 0
+            for x0, x1, v0, v1 in zip(nodes, nodes[1:], values, values[1:]):
+                x0, x1, v0, v1 = map(mpmath.mpf, (x0, x1, v0, v1))
+
+                def f(r):
+                    return abs(v0 + (v1 - v0) * (r - x0) / (x1 - x0)) ** p * r**power
+                cuts = [x0, x0 - v0 * (x1 - x0) / (v1 - v0), x1] if v0 * v1 < 0 else [x0, x1]
+                exact += mpmath.quad(f, cuts)
+            assert abs(got / exact - 1) < 1e-12
 
 
 class TestIntegrability:

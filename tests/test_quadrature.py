@@ -31,13 +31,13 @@ eta_module = importlib.import_module("hardycap.eta")
 
 
 def test_polynomial_exact():
-    assert_allclose(integrate(lambda x: x**7, 0.0, 2.0), 2.0**8 / 8.0, rtol=1e-14)
+    assert_allclose(integrate(lambda x: x**7, 0.0, 2.0, ()), 2.0**8 / 8.0, rtol=1e-14)
 
 
 def test_smooth_vs_scipy():
     f = lambda x: np.exp(-x) * np.sin(3.0 * x)
     ref = quad(lambda x: np.exp(-x) * np.sin(3.0 * x), 0.0, 5.0)[0]
-    assert_allclose(integrate(f, 0.0, 5.0), ref, rtol=1e-12)
+    assert_allclose(integrate(f, 0.0, 5.0, ()), ref, rtol=1e-12)
 
 
 def test_endpoint_singularity():
@@ -58,17 +58,17 @@ def test_refinement_respects_ratio():
 def test_segment_integrals_sum_to_total():
     bp = np.array([0.1, 0.3, 0.55, 0.9, 1.0])
     f = lambda x: np.cos(x) ** 2
-    seg = segment_integrals(f, bp)
+    seg = segment_integrals(f, bp, ())
     assert len(seg) == 4
-    assert_allclose(seg.sum(), integrate(f, 0.1, 1.0), rtol=1e-13)
+    assert_allclose(seg.sum(), integrate(f, 0.1, 1.0, ()), rtol=1e-13)
 
 
 @pytest.mark.parametrize("call", [
-    lambda: refine_breakpoints([math.nan, 1.0]),
-    lambda: refine_breakpoints(np.linspace(0.0, 1.0, 20).tolist() + [math.inf]),
-    lambda: integrate(np.exp, -math.inf, 1.0),
-    lambda: integrate(np.exp, 0.0, math.nan),
-    lambda: segment_integrals(np.exp, [0.0, math.nan, 1.0]),
+    lambda: refine_breakpoints([math.nan, 1.0], ()),
+    lambda: refine_breakpoints(np.linspace(0.0, 1.0, 20).tolist() + [math.inf], ()),
+    lambda: integrate(np.exp, -math.inf, 1.0, ()),
+    lambda: integrate(np.exp, 0.0, math.nan, ()),
+    lambda: segment_integrals(np.exp, [0.0, math.nan, 1.0], ()),
     lambda: refine_breakpoints(np.linspace(0.0, 1.0, 20), singular=(math.nan,)),
     lambda: integrate(np.exp, 0.0, 1.0, singular=(0.0, math.inf)),
 ], ids=["refine", "refine-lockstep", "integrate", "integrate-nan", "segment-integrals",
@@ -81,12 +81,12 @@ def test_non_finite_breakpoint_raises(call):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: refine_breakpoints([0.0, 1.0, 0.5]),
-    lambda: refine_breakpoints([0.0, 1.0, 0.5], singular=(0.0,), coarse=1),
+    lambda: refine_breakpoints([0.0, 1.0, 0.5], ()),
+    lambda: refine_breakpoints([0.0, 1.0, 0.5], (0.0,)),
     # this returned [1, -0.5]
-    lambda: segment_integrals(np.ones_like, [0.0, 1.0, 0.5]),
-    lambda: refine_breakpoints(np.linspace(0.0, 1.0, 20).tolist() + [0.5]),
-], ids=["refine", "refine-coarse-1", "segment-integrals", "refine-lockstep"])
+    lambda: segment_integrals(np.ones_like, [0.0, 1.0, 0.5], ()),
+    lambda: refine_breakpoints(np.linspace(0.0, 1.0, 20).tolist() + [0.5], ()),
+], ids=["refine", "refine-singular", "segment-integrals", "refine-lockstep"])
 def test_decreasing_breakpoint_raises(call):
     with pytest.raises(DomainError, match="must not decrease"):
         call()
@@ -95,7 +95,7 @@ def test_decreasing_breakpoint_raises(call):
 def test_zero_width_segment_legal():
     pts, counts = refine_breakpoints([0.0, 1.0, 1.0, 2.0], singular=(0.0,))
     assert counts[1] == 1 and np.all(np.diff(pts) >= 0.0)
-    assert_allclose(segment_integrals(np.ones_like, [0.0, 1.0, 1.0, 2.0]), [1.0, 0.0, 1.0])
+    assert_allclose(segment_integrals(np.ones_like, [0.0, 1.0, 1.0, 2.0], ()), [1.0, 0.0, 1.0])
 
 
 def test_panel_nodes_increasing():
@@ -131,7 +131,7 @@ def test_node_tail_integrals_vs_closed_form():
     assert at_edges[-1] == 0.0
 
 
-def _reference_refine(breakpoints, singular=(), rel=PANEL_RATIO, coarse=8):
+def _reference_refine(breakpoints, singular, rel=PANEL_RATIO):
     """The panel layout one segment and one panel at a time."""
     breakpoints = np.asarray(breakpoints, dtype=float)
     out = [breakpoints[0]]
@@ -141,7 +141,7 @@ def _reference_refine(breakpoints, singular=(), rel=PANEL_RATIO, coarse=8):
         cur = lo
         k = 0
         while True:
-            width = (hi - lo) / coarse
+            width = hi - lo
             for s in singular:
                 width = min(width, rel * abs(cur - s) if cur < s else rel * (cur - s))
             width = max(width, 1e-15 * scale)
@@ -156,30 +156,31 @@ def _reference_refine(breakpoints, singular=(), rel=PANEL_RATIO, coarse=8):
     return np.array(out), counts
 
 
-def _assert_same_as_reference(breakpoints, singular=(), coarse=8, rel=PANEL_RATIO):
+def _assert_same_as_reference(breakpoints, singular, rel=PANEL_RATIO):
     """``rel`` must be the ``PANEL_RATIO`` that ``refine_breakpoints`` sees."""
-    pts, counts = refine_breakpoints(breakpoints, singular, coarse)
-    ref_pts, ref_counts = _reference_refine(breakpoints, singular, rel, coarse)
+    pts, counts = refine_breakpoints(breakpoints, singular)
+    ref_pts, ref_counts = _reference_refine(breakpoints, singular, rel)
     assert np.array_equal(pts, ref_pts)
     assert np.array_equal(counts, ref_counts)
     assert counts.dtype == ref_counts.dtype
 
 
-@pytest.mark.parametrize("coarse", [1, 3, 8])
+@pytest.mark.parametrize("draw", [1, 3, 8])
 @pytest.mark.parametrize("rel", [0.1, 0.2, 0.5])
 @pytest.mark.parametrize("segments", [1, LOCKSTEP_MIN - 1, LOCKSTEP_MIN,
                                       LOCKSTEP_MIN + 1, 4097])
-def test_refine_bit_identical_to_one_segment_at_a_time(segments, rel, coarse, monkeypatch):
-    # breakpoints on both sides of 0, a quarter of the segments zero-width,
-    # singular points inside segments and one that starts a segment
-    rng = np.random.default_rng([segments, coarse, int(10 * rel)])
+def test_refine_bit_identical_to_one_segment_at_a_time(segments, rel, draw, monkeypatch):
+    # three seeded draws of breakpoints on both sides of 0, a quarter of the
+    # segments zero-width, singular points inside segments and one that
+    # starts a segment
+    rng = np.random.default_rng([segments, draw, int(10 * rel)])
     bp = np.sort(rng.uniform(-2.0, 4.0, segments + 1))
     for i in rng.choice(segments, segments // 4, replace=False):
         bp[i + 1] = bp[i]
     singular = (0.0, math.pi, float(bp[segments // 2]))
     monkeypatch.setattr(quadrature, "PANEL_RATIO", rel)
-    _assert_same_as_reference(bp, singular, coarse, rel)
-    _assert_same_as_reference(bp, (), coarse, rel)
+    _assert_same_as_reference(bp, singular, rel)
+    _assert_same_as_reference(bp, (), rel)
 
 
 def test_quotient_layout_bit_identical(monkeypatch):
@@ -200,7 +201,7 @@ def test_quotient_layout_bit_identical(monkeypatch):
 
 
 @pytest.mark.parametrize("a", [0.5, math.pi / 2, 2.0, 3.0])
-def test_a_k_b_k_layout_same_as_two_calls(a):
+def test_two_segments_same_as_two_calls(a):
     # refine_breakpoints batching: two adjacent segments refined in one call
     # give the edges of two separate calls, as long as the outer
     # breakpoints set the same scale (for a > 1 the first segment then gets
@@ -217,18 +218,28 @@ def test_a_k_b_k_layout_same_as_two_calls(a):
             assert np.array_equal(pts, np.concatenate((head, body[1:])))
 
 
-@given(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0),
-       st.sampled_from([(), (0.0,), (0.0, math.pi)]))
-@settings(max_examples=200, deadline=None)
-def test_integrate_edges_same_as_refine(x, y, singular):
-    # integrate marches its segment itself; the golden-section T and the
-    # pinned quotients rest on its edges staying those of refine_breakpoints
-    lo, hi = min(x, y), max(x, y)
-    assume(lo < hi)
-    with mock.patch.object(quadrature, "panel_nodes", wraps=quadrature.panel_nodes) as spy:
-        integrate(np.ones_like, lo, hi, singular)
-    (pts,), _ = spy.call_args
-    assert np.array_equal(pts, refine_breakpoints(np.array([lo, hi]), singular, coarse=8)[0])
+def test_pinned_layouts_from_one_builder(monkeypatch):
+    # integrate (so tail_integral and the golden-section T) and A_k_B_k
+    # take their panel edges from _eight_panels, at least eight panels
+    built, real = [], quadrature._eight_panels
+
+    def builder(lo, hi, singular):
+        built.append(real(lo, hi, singular))
+        return built[-1]
+
+    monkeypatch.setattr(quadrature, "_eight_panels", builder)
+    monkeypatch.setattr(hardy1d, "_eight_panels", builder)
+    w = make_sine_weight(3, 2.0, math.pi / 2)
+    for module, call, ends in [
+        (quadrature, lambda: integrate(np.ones_like, 0.25, 1.0, (0.0, math.pi)), (0.25, 1.0)),
+        (hardy1d, lambda: hardy1d.A_k_B_k(w, 64), (1.0 / 64, w.a * (1.0 - ENDPOINT_GUARD))),
+    ]:
+        built.clear()
+        with mock.patch.object(module, "panel_nodes", wraps=module.panel_nodes) as spy:
+            call()
+        pts = spy.call_args_list[0][0][0]
+        assert pts is built[0]
+        assert (pts[0], pts[-1]) == ends and len(pts) > 8
 
 
 @pytest.mark.parametrize("lo,hi,singular", [
@@ -278,9 +289,9 @@ def test_march_same_as_builtin_loop(cur, length, share, floor, slack, singular):
     assert [x.hex() for x in edges] == [x.hex() for x in _builtin_march(*args)]
 
 
-def _segment_integrals_16(f, breakpoints, singular=()):
+def _segment_integrals_16(f, breakpoints, singular):
     """``segment_integrals`` with 16 Gauss points on the same panels."""
-    pts, counts = refine_breakpoints(breakpoints, singular, coarse=1)
+    pts, counts = refine_breakpoints(breakpoints, singular)
     x, w = panel_nodes(pts, GL16)
     return np.add.reduceat(np.sum(f(x) * w, axis=1), np.cumsum(counts) - counts)
 
