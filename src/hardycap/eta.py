@@ -13,6 +13,7 @@ yields the non-increasing truncated weight eta_aT.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,22 @@ def _tail_not_finite(t, tail):
         f"I(t) = {float(tail)!r}")
 
 
+def _check_phi_normal(w, *ts):
+    """Raise ``NumericalError`` naming the first of ``ts`` where phi is
+    below the smallest normal float: phi**(-1/(p-1)) then carries only the
+    few bits of a subnormal, and an integral over a range that ends there
+    is wrong with no other sign (8.7e-7 relative for power (4, 262, 1) from
+    t = 1/16).  Over any range in (0, a], phi is smallest at an end (it
+    increases, or is a power of sin, which is concave), so the ends of the
+    range are passed."""
+    for t in ts:
+        phi = float(w.phi(t))
+        if phi < sys.float_info.min:
+            raise NumericalError(
+                f"phi is subnormal at t={float(t)!r}: phi(t) = {phi!r}, below "
+                f"{sys.float_info.min!r}, so phi**(-1/(p-1)) loses its accuracy there")
+
+
 def tail_integral(w, t):
     """integral_t^a phi(s)**(-1/(p-1)) ds for a single point t in (0, a).
 
@@ -58,7 +75,8 @@ def tail_integral(w, t):
     singular points from t (t below 1e-15 * max(a, 1) next to 0); the point
     a * ENDPOINT_GUARD stays legal for a >= 1e-3.  Raises ``NumericalError``
     naming t where the integral overflows (where ``phi**(-1/(p-1))``
-    does), without a RuntimeWarning.
+    does), without a RuntimeWarning, and naming t or a where phi is
+    subnormal there.
 
     For a sine weight with ``a`` next to pi the result loses accuracy, with
     no error, up to about ``ulp(pi)/(pi - a)`` relative: the Gauss nodes
@@ -75,6 +93,7 @@ def tail_integral(w, t):
         tail = integrate(w.inv_phi_pow, t, w.a, singular=w.singular_points)
     if not math.isfinite(tail):
         raise _tail_not_finite(t, tail)
+    _check_phi_normal(w, t, w.a)
     return tail
 
 
@@ -86,7 +105,8 @@ def tail_integrals(w, ts):
     linear in the number of points.  Raises ``DomainError`` as
     ``tail_integral`` does, at the first point, and ``NumericalError``
     naming the first point whose tail integral overflows (where
-    ``phi**(-1/(p-1))`` does), without a RuntimeWarning.
+    ``phi**(-1/(p-1))`` does), without a RuntimeWarning, or the first
+    point or a where phi is subnormal.
     """
     ts = _points(ts)
     if ts.size:
@@ -98,6 +118,8 @@ def tail_integrals(w, ts):
     bad = np.flatnonzero(~np.isfinite(tails))
     if len(bad):
         raise _tail_not_finite(ts[bad[0]], tails[bad[0]])
+    if ts.size:
+        _check_phi_normal(w, ts[0], w.a)
     return tails
 
 

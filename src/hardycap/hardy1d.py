@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, NumericalError, ParameterError
-from .eta import ENDPOINT_GUARD, tail_integral, tail_integrals
+from .eta import ENDPOINT_GUARD, _check_phi_normal, tail_integral, tail_integrals
 from .quadrature import (ALL_GL16, _eight_panels, node_tail_integrals, panel_nodes, panel_rules,
                          refine_breakpoints)
 from .weights import _finite, _finite_array
@@ -106,24 +106,26 @@ def _sweep(w, pts, rules):
     with its Gauss rule from ``rules``: ``panel_rules`` for the quotient's
     one panel per cell, ``ALL_GL16`` for the pinned layout of ``A_k_B_k``.
 
-    Returns a ``(panels, x, weights, phi, inv_phi, tails)`` for each rule,
-    with the ``panel_nodes`` nodes and weights of its panels, ``phi`` and
+    Returns a ``(panels, x, rule, phi, inv_phi, tails)`` for each rule,
+    with the ``panel_nodes`` nodes of its panels, ``phi`` and
     ``inv_phi = phi**(-1/(p-1))`` at the nodes and the tail integral I of
     the latter at the nodes; and I at the panel edges.  The tails come
-    from one sweep over the panels.
+    from one sweep over the panels.  Every array is new and ``pts`` is only
+    read: the caller may use ``tails`` as scratch, and reads the others.
     """
     parts = []
     for rule, panels in rules:
-        x, wts = panel_nodes(pts, rule, panels)
+        x = panel_nodes(pts, rule, panels)[0]  # its node weights go at once
         phi = w.phi(x)
         inv_phi = phi ** (-1.0 / (w.p - 1.0))  # as w.inv_phi_pow(x)
-        parts.append((rule, panels, x, wts, phi, inv_phi))
+        parts.append((panels, x, rule, phi, inv_phi))
     at_nodes, at_edges = node_tail_integrals(
-        pts, [(rule, panels, x, inv_phi) for rule, panels, x, _, _, inv_phi in parts])
+        pts, [(rule, panels, x, inv_phi) for panels, x, rule, _, inv_phi in parts])
     beyond = tail_integral(w, pts[-1])
-    return ([(panels, x, wts, phi, inv_phi, tails + beyond)
-             for (_, panels, x, wts, phi, inv_phi), tails in zip(parts, at_nodes)],
-            at_edges + beyond)
+    for tails in at_nodes:
+        tails += beyond
+    at_edges += beyond
+    return [(*part, tails) for part, tails in zip(parts, at_nodes)], at_edges
 
 
 def _quotient_edges(w, u, T=None):
@@ -177,6 +179,15 @@ def hardy_quotient(w, prof, u, truncated=False):
     eta_aT = eta, and the constant head before them goes through the
     closed-form primitive I**(1-p)/(p-1) of eta^p phi.  prof may be None
     when not truncated, with the same result.
+
+    The arrays of ``u`` are only read.  The denominator's integrand
+    (|u| eta)**p phi is built in one scratch array, the values of u at the
+    nodes, and eta overwrites the tails from ``_sweep``; ``phi`` and
+    ``inv_phi`` are read by both integrals and never written.  Per-panel
+    sums are ``values @ rule.weights``, weighted by the half-widths.
+    Raises ``NumericalError`` where the denominator overflows, and naming
+    the first panel edge (or a, through ``tail_integral``) where phi is
+    subnormal.
     """
     _check_profile(w, prof, truncated)
     nodes, values = u.nodes, u.values
@@ -196,26 +207,34 @@ def hardy_quotient(w, prof, u, truncated=False):
     roots = nodes[:-1] - np.divide(values[:-1], slopes[1:],
                                    out=np.full(len(nodes) - 1, np.inf), where=slopes[1:] != 0.0)
     rules = panel_rules(pts, _singular(w), roots[cell - 1])
+    half = 0.5 * np.diff(pts)
     # phi**(-1/(p-1)) overflows next to 0 on steep weights: raised, not warned
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         parts, edge_tails = _sweep(w, pts, rules)
         denominator = 0.0
-        for _, x, wts, phi_vals, inv_phi, tails in parts:
-            eta_vals = inv_phi / tails
+        for panels, x, rule, phi, inv_phi, tails in parts:
+            # (|u| eta)**p phi in one scratch array; tails turn into eta
+            eta_vals = np.divide(inv_phi, tails, out=tails)
             if truncated:
-                eta_vals = np.where(x > prof.T, prof.eta_at_T, eta_vals)
-            denominator += float(np.sum((np.abs(u(x)) * eta_vals) ** p * phi_vals * wts))
+                np.copyto(eta_vals, prof.eta_at_T, where=x > prof.T)
+            g = u(x)
+            np.abs(g, out=g)
+            g *= eta_vals
+            g **= p
+            g *= phi
+            denominator += float(half[panels] @ (g @ rule.weights))
         # head [0, pts[0]], pts[0] <= t0 (and <= T): u = u(t0) and eta_aT = eta there
         denominator += abs(values[0]) ** p * edge_tails[0] ** (1.0 - p) / (p - 1.0)
     if not np.isfinite(denominator):
         raise NumericalError(
             f"the denominator is not finite: eta_a overflows from t={float(pts[0])!r}")
+    _check_phi_normal(w, pts[0])  # and a, by the tail integral from pts[-1]
     if denominator < 1e-300:
         raise DegenerateInputError("denominator vanished; degenerate input")
 
     # numerator: |u'| is constant per panel
-    numerator = sum(float(np.sum(np.abs(slopes[cell[panels], None]) ** p * phi_vals * wts))
-                    for panels, _, wts, phi_vals, _, _ in parts)
+    numerator = sum(float((np.abs(slopes[cell[panels]]) ** p * half[panels]) @ (phi @ rule.weights))
+                    for panels, _, rule, phi, _, _ in parts)
 
     return QuotientReport(
         numerator=numerator,
@@ -324,9 +343,9 @@ def A_k_B_k(w, k):
     pts = _eight_panels(s, guard_hi, _singular(w))
     # phi**(-1/(p-1)) overflows next to 0 on steep weights: raised, not warned
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ((_, _, wts, _, inv_phi, tails),), edge_tails = _sweep(w, pts, ALL_GL16)
+        ((_, _, rule, _, inv_phi, tails),), edge_tails = _sweep(w, pts, ALL_GL16)
         a_k = float((1.0 - (edge_tails[0] / tail_integral(w, guard_lo)) ** (p - 1.0)) / (p - 1.0))
-        b_k = float(np.sum(inv_phi / tails * wts))
+        b_k = float(0.5 * np.diff(pts) @ (np.divide(inv_phi, tails, out=tails) @ rule.weights))
     if not (np.isfinite(a_k) and np.isfinite(b_k)):
         raise NumericalError(
             f"A_k = {a_k!r} and B_k = {b_k!r} must be finite: eta_a overflows from t={s!r}")

@@ -27,6 +27,18 @@ moves by up to 1.6e-8 under one-ulp changes in those integrals) and
 ``hardy1d.A_k_B_k`` (whose body panels next to the endpoint guard carry a
 B_k node-rounding artefact that perfbench/reference.json pins to 1e-9).
 ``panel_nodes`` and the sum over its nodes are the pinned node order.
+
+Arrays passed in (breakpoints, nodes, integrand values) are only read.
+The one-panel-per-segment sweeps otherwise work in place on arrays they
+made: ``panel_nodes`` adds the midpoints to ``half * xi`` in place (the
+bits of ``mid + half * xi``), ``segment_integrals`` and
+``node_tail_integrals`` take per-panel sums as ``values @ rule.weights``
+times the half-widths, and ``node_tail_integrals`` returns new arrays that
+its caller may overwrite.  A quotient's (panels, points) arrays hold about
+30,000 nodes, and each new one is about 240 KB of fresh pages that the
+kernel zero-fills on first touch.  ``_integrate`` keeps its out-of-place
+``(f(x) * w).sum()``: a per-panel dot product sums in another order, and
+the golden-section T read from it is pinned bit for bit.
 """
 
 from __future__ import annotations
@@ -254,9 +266,9 @@ def panel_nodes(points, rule=GL16, panels=None):
     lo, hi = points[:-1], points[1:]
     if panels is not None:
         lo, hi = lo[panels], hi[panels]
-    mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * rule.nodes
+    x = half[:, None] * rule.nodes
+    x += 0.5 * (lo + hi)[:, None]  # the bits of mid + half * xi, in place
     w = half[:, None] * rule.weights
     return x, w
 
@@ -284,10 +296,11 @@ def segment_integrals(f, breakpoints, singular):
     one panel per segment, split further towards ``singular``, each with
     its rule from ``panel_rules``."""
     pts, counts = refine_breakpoints(breakpoints, singular)
-    per_panel = np.empty(len(pts) - 1)
+    half = 0.5 * np.diff(pts)
+    per_panel = np.empty(len(half))
     for rule, panels in panel_rules(pts, singular):
-        x, w = panel_nodes(pts, rule, panels)
-        per_panel[panels] = np.sum(f(x) * w, axis=1)
+        x = panel_nodes(pts, rule, panels)[0]  # its node weights go at once
+        per_panel[panels] = half[panels] * (f(x) @ rule.weights)
     starts = np.cumsum(counts) - counts
     return np.add.reduceat(per_panel, starts)
 
@@ -301,8 +314,9 @@ def node_tail_integrals(points, parts):
     them.  No further evaluation of ``f`` is made: the integral from a
     node to its panel's end interpolates ``f`` on that panel, and the
     later panels are suffix-summed.  Returns ``(at_nodes, at_edges)``: the
-    integral from each node, one array shaped like ``x`` per part, and
-    from each panel edge (one more entry than panels).
+    integral from each node, one new array shaped like ``x`` per part, which
+    the caller may overwrite, and from each panel edge (one more entry than
+    panels).  ``x`` and ``g`` are only read.
     """
     half = 0.5 * np.diff(points)
     per_panel = np.empty(len(half))
@@ -313,8 +327,16 @@ def node_tail_integrals(points, parts):
     for rule, panels, x, g in parts:
         h = half[panels, None]
         # the stored node is rounded; integrate from it, not from the exact
-        # node mid + h*xi, which matters where the panel end is close to x
-        within = h * (g @ rule.tail.T)
-        within += g * ((points[1:][panels, None] - x) - h * (1.0 - rule.nodes))
-        at_nodes.append(within + at_edges[1:][panels, None])
+        # node mid + h*xi, which matters where the panel end is close to x:
+        # g * ((end - x) - h*(1 - xi)), with h*(1 - xi) held in the array
+        # that then takes the interpolated part h * (g @ tail.T)
+        within = np.multiply(h, 1.0 - rule.nodes)
+        rounding = np.subtract(points[1:][panels, None], x)
+        rounding -= within
+        rounding *= g
+        np.matmul(g, rule.tail.T, out=within)
+        within *= h
+        within += rounding
+        within += at_edges[1:][panels, None]
+        at_nodes.append(within)
     return at_nodes, at_edges

@@ -97,15 +97,24 @@ class Weight:
         return (0.0, math.pi) if self.kind == SINE else (0.0,)
 
     def phi(self, t):
-        return self._base(np.asarray(t, dtype=float)) ** self._g
+        """phi(t), a new array (or a scalar); ``t`` is never written."""
+        t = np.asarray(t, dtype=float)
+        if self.kind == SINE:  # sin(t) is new: power it in place (a scalar rebinds)
+            base = np.sin(t)
+            base **= self.n - 1
+            return base
+        return t ** self.growth_exponent  # t may be the caller's array
 
     def log_phi_dd(self, t):
         """(log phi)'' = -g / base(t)**2, negative: phi is log-concave."""
         return -self._g / self._base(np.asarray(t, dtype=float)) ** 2
 
     def inv_phi_pow(self, t):
-        """phi(t) ** (-1/(p-1)), the integrand of the tail integral."""
-        return self.phi(t) ** (-1.0 / (self.p - 1.0))
+        """phi(t) ** (-1/(p-1)), the integrand of the tail integral: a new
+        array (or a scalar); ``t`` is never written."""
+        value = self.phi(t)
+        value **= -1.0 / (self.p - 1.0)  # phi(t) is new: in place
+        return value
 
 
 def _finite(name, value):

@@ -1,17 +1,18 @@
 import contextlib
 import importlib
 import math
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from hardycap import hardy1d, quadrature
-from hardycap.errors import DomainError, HardyError
+from hardycap.errors import DomainError, HardyError, NumericalError
 from hardycap.eta import ENDPOINT_GUARD, find_truncation_point, tail_integrals
 from hardycap.quadrature import (
     ALL_GL16,
@@ -333,6 +334,7 @@ def _weights(draw):
 @example(make_power_weight(1.5, 50.0, 1.0), 0)  # e = 100
 @example(make_sine_weight(6, 1.5, 3.0), 0)
 @example(make_sine_weight(3, 2.0, math.pi - 1e-6), 0)
+@example(make_power_weight(4.0, 102.0, 1.0), 0)  # phi(1e-3) = 1e-315
 @settings(max_examples=40, deadline=None)
 def test_eight_points_agree_with_sixteen(w, seed):
     # the one-panel-per-segment layouts take 8 Gauss points on their narrow
@@ -342,8 +344,12 @@ def test_eight_points_agree_with_sixteen(w, seed):
     # 2.4e-11 against cot t - cot a, and 5.9e-13 apart
     rtol = 1e-13 + (math.ulp(math.pi) / (math.pi - w.a) if w.kind == SINE else 0.0)
     # where phi is subnormal its rounding sets the error of both rules
-    # (power (4, 258, 1) at 1/16: 2.3e-13 and 4.5e-13 off the closed form)
-    assume(float(w.phi(1e-3 * w.a)) >= np.finfo(float).tiny)
+    # (power (4, 262, 1) at 1/16: 8.7e-7 off the closed form), so a tail
+    # integral from there raises
+    if float(w.phi(1e-3 * w.a)) < np.finfo(float).tiny:
+        with pytest.raises(NumericalError, match=re.escape(f"t={1e-3 * w.a!r}:")):
+            tail_integrals(w, [1e-3 * w.a])
+        return
     try:
         prof = find_truncation_point(w)
     except HardyError:
