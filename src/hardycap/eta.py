@@ -228,16 +228,22 @@ def find_truncation_point(w):
     is log-concave in closed form: ``(log phi)'' = -(p-1+delta)/t**2``
     (power) or ``-(n-1)/sin(t)**2`` (sine), negative on (0, a].
 
-    The input is checked once, on the bracket grid: ``eta_many`` checks
-    every grid point, and the resolution of the singular points from the
-    first.  Each golden point lies between two grid points, so the search
-    evaluates the unchecked ``_eta_at``, which still raises
-    ``NumericalError`` where eta_a is not finite and positive.
+    The grid keeps only the points where phi is normal: next to 0 (or pi)
+    a steep weight's phi is subnormal, where ``tail_integrals`` refuses to
+    start, and the minimiser does not lie there.  The input is checked
+    once, on the bracket grid: ``eta_many`` checks every grid point, and
+    the resolution of the singular points from the first.  Each golden
+    point lies between two grid points, so the search evaluates the
+    unchecked ``_eta_at``, which still raises ``NumericalError`` where
+    eta_a is not finite and positive.
     """
     grid = w.a * np.geomspace(1e-6, 1.0 - 1e-6, BRACKET_GRID)
+    grid = grid[w.phi(grid) >= sys.float_info.min]
+    if not len(grid):
+        raise NumericalError(f"phi is subnormal on the whole bracket grid on (0, {w.a})")
     vals = eta_many(w, grid)
     i = int(np.argmin(vals))
-    if i == 0 or i == BRACKET_GRID - 1:
+    if i == 0 or i == len(grid) - 1:
         raise NumericalError(
             f"failed to bracket the minimum of eta on (0, {w.a}); "
             f"sampled minimum at grid edge t={grid[i]:.6g}"

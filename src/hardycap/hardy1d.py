@@ -109,9 +109,10 @@ def _sweep(w, pts, rules):
     Returns a ``(panels, x, rule, phi, inv_phi, tails)`` for each rule,
     with the ``panel_nodes`` nodes of its panels, ``phi`` and
     ``inv_phi = phi**(-1/(p-1))`` at the nodes and the tail integral I of
-    the latter at the nodes; and I at the panel edges.  The tails come
-    from one sweep over the panels.  Every array is new and ``pts`` is only
-    read: the caller may use ``tails`` as scratch, and reads the others.
+    the latter at the nodes, each a node-major (points, panels) array; and
+    I at the panel edges.  The tails come from one sweep over the panels.
+    Every array is new and ``pts`` is only read: the caller may use
+    ``tails`` as scratch, and reads the others.
     """
     parts = []
     for rule, panels in rules:
@@ -180,11 +181,12 @@ def hardy_quotient(w, prof, u, truncated=False):
     closed-form primitive I**(1-p)/(p-1) of eta^p phi.  prof may be None
     when not truncated, with the same result.
 
-    The arrays of ``u`` are only read.  The denominator's integrand
+    The arrays of ``u`` are only read.  The nodes and the values at them
+    are node-major (points, panels) arrays.  The denominator's integrand
     (|u| eta)**p phi is built in one scratch array, the values of u at the
     nodes, and eta overwrites the tails from ``_sweep``; ``phi`` and
     ``inv_phi`` are read by both integrals and never written.  Per-panel
-    sums are ``values @ rule.weights``, weighted by the half-widths.
+    sums are ``rule.weights @ values``, weighted by the half-widths.
     Raises ``NumericalError`` where the denominator overflows, and naming
     the first panel edge (or a, through ``tail_integral``) where phi is
     subnormal.
@@ -222,7 +224,7 @@ def hardy_quotient(w, prof, u, truncated=False):
             g *= eta_vals
             g **= p
             g *= phi
-            denominator += float(half[panels] @ (g @ rule.weights))
+            denominator += float(half[panels] @ (rule.weights @ g))
         # head [0, pts[0]], pts[0] <= t0 (and <= T): u = u(t0) and eta_aT = eta there
         denominator += abs(values[0]) ** p * edge_tails[0] ** (1.0 - p) / (p - 1.0)
     if not np.isfinite(denominator):
@@ -233,7 +235,7 @@ def hardy_quotient(w, prof, u, truncated=False):
         raise DegenerateInputError("denominator vanished; degenerate input")
 
     # numerator: |u'| is constant per panel
-    numerator = sum(float((np.abs(slopes[cell[panels]]) ** p * half[panels]) @ (phi @ rule.weights))
+    numerator = sum(float((np.abs(slopes[cell[panels]]) ** p * half[panels]) @ (rule.weights @ phi))
                     for panels, _, rule, phi, _, _ in parts)
 
     return QuotientReport(
@@ -345,7 +347,7 @@ def A_k_B_k(w, k):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ((_, _, rule, _, inv_phi, tails),), edge_tails = _sweep(w, pts, ALL_GL16)
         a_k = float((1.0 - (edge_tails[0] / tail_integral(w, guard_lo)) ** (p - 1.0)) / (p - 1.0))
-        b_k = float(0.5 * np.diff(pts) @ (np.divide(inv_phi, tails, out=tails) @ rule.weights))
+        b_k = float(0.5 * np.diff(pts) @ (rule.weights @ np.divide(inv_phi, tails, out=tails)))
     if not (np.isfinite(a_k) and np.isfinite(b_k)):
         raise NumericalError(
             f"A_k = {a_k!r} and B_k = {b_k!r} must be finite: eta_a overflows from t={s!r}")

@@ -26,19 +26,26 @@ so ``eta.tail_integral``, and the golden-section ``eta._eta_at``, whose T
 moves by up to 1.6e-8 under one-ulp changes in those integrals) and
 ``hardy1d.A_k_B_k`` (whose body panels next to the endpoint guard carry a
 B_k node-rounding artefact that perfbench/reference.json pins to 1e-9).
-``panel_nodes`` and the sum over its nodes are the pinned node order.
+
+Nodes are node-major: ``panel_nodes`` returns (points, panels) arrays,
+``x[j, i]`` node j of panel i, so that a per-panel value (half-width,
+midpoint, panel end, the tail from the panel's end) broadcasts as a row:
+a (panels, 1) column against (panels, points) runs an inner loop of 8 or
+16 with iterator buffers, several times slower than a same-shape
+operation on a quotient's 3,700 panels.  ``_integrate`` alone
+builds its few nodes panel-major, (panels, 16), and sums
+``(f(x) * w).sum()`` in that memory order: the golden-section T read from
+it is pinned bit for bit, and a node-major sum adds in another order.
 
 Arrays passed in (breakpoints, nodes, integrand values) are only read.
 The one-panel-per-segment sweeps otherwise work in place on arrays they
-made: ``panel_nodes`` adds the midpoints to ``half * xi`` in place (the
+made: ``panel_nodes`` adds the midpoints to ``xi * half`` in place (the
 bits of ``mid + half * xi``), ``segment_integrals`` and
-``node_tail_integrals`` take per-panel sums as ``values @ rule.weights``
+``node_tail_integrals`` take per-panel sums as ``rule.weights @ values``
 times the half-widths, and ``node_tail_integrals`` returns new arrays that
-its caller may overwrite.  A quotient's (panels, points) arrays hold about
-30,000 nodes, and each new one is about 240 KB of fresh pages that the
-kernel zero-fills on first touch.  ``_integrate`` keeps its out-of-place
-``(f(x) * w).sum()``: a per-panel dot product sums in another order, and
-the golden-section T read from it is pinned bit for bit.
+its caller may overwrite.  A quotient's arrays hold about 30,000 nodes,
+and each new one is about 240 KB of fresh pages that the kernel
+zero-fills on first touch.
 """
 
 from __future__ import annotations
@@ -258,19 +265,19 @@ def panel_rules(points, singular, roots=None):
 
 def panel_nodes(points, rule=GL16, panels=None):
     """Gauss-Legendre nodes and weights of ``rule`` on the ``panels`` (all,
-    by default) of consecutive panels.
+    by default) of consecutive panels, node-major: ``x[j, i]`` is node j
+    of panel i, ``mid + half * xi``.
 
-    ``points`` is a sorted 1-D array of panel edges; the returned node
-    array is globally increasing.
+    ``points`` is a sorted 1-D array of panel edges; ``x.T.ravel()`` is
+    globally increasing.
     """
     lo, hi = points[:-1], points[1:]
     if panels is not None:
         lo, hi = lo[panels], hi[panels]
     half = 0.5 * (hi - lo)
-    x = half[:, None] * rule.nodes
-    x += 0.5 * (lo + hi)[:, None]  # the bits of mid + half * xi, in place
-    w = half[:, None] * rule.weights
-    return x, w
+    x = np.multiply.outer(rule.nodes, half)
+    x += 0.5 * (lo + hi)  # the bits of mid + half * xi, in place
+    return x, np.multiply.outer(rule.weights, half)
 
 
 def integrate(f, lo, hi, singular):
@@ -287,8 +294,12 @@ def integrate(f, lo, hi, singular):
 def _integrate(f, lo, hi, singular):
     """``integrate`` without its checks: finite float ends with
     ``lo < hi`` and finite singular points (a NaN end would march forever)."""
-    x, w = panel_nodes(_eight_panels(lo, hi, singular))
-    return float((f(x) * w).sum())
+    pts = _eight_panels(lo, hi, singular)
+    # panel-major, unlike panel_nodes: T is pinned through this sum order
+    half = 0.5 * (pts[1:] - pts[:-1])[:, None]
+    x = half * GL16.nodes
+    x += 0.5 * (pts[:-1] + pts[1:])[:, None]
+    return float((f(x) * (half * GL16.weights)).sum())
 
 
 def segment_integrals(f, breakpoints, singular):
@@ -300,7 +311,7 @@ def segment_integrals(f, breakpoints, singular):
     per_panel = np.empty(len(half))
     for rule, panels in panel_rules(pts, singular):
         x = panel_nodes(pts, rule, panels)[0]  # its node weights go at once
-        per_panel[panels] = half[panels] * (f(x) @ rule.weights)
+        per_panel[panels] = half[panels] * (rule.weights @ f(x))
     starts = np.cumsum(counts) - counts
     return np.add.reduceat(per_panel, starts)
 
@@ -314,29 +325,32 @@ def node_tail_integrals(points, parts):
     them.  No further evaluation of ``f`` is made: the integral from a
     node to its panel's end interpolates ``f`` on that panel, and the
     later panels are suffix-summed.  Returns ``(at_nodes, at_edges)``: the
-    integral from each node, one new array shaped like ``x`` per part, which
-    the caller may overwrite, and from each panel edge (one more entry than
-    panels).  ``x`` and ``g`` are only read.
+    integral from each node, one new (points, panels) array shaped like
+    ``x`` per part, which the caller may overwrite, and from each panel
+    edge (one more entry than panels).  ``x`` and ``g`` are only read.
+    Within a panel the integral is ``h * (tail @ g)``, one matrix product
+    over the whole part, and the per-panel half-widths, panel ends and
+    edge tails are added as rows.
     """
     half = 0.5 * np.diff(points)
     per_panel = np.empty(len(half))
     for rule, panels, _, g in parts:
-        per_panel[panels] = half[panels] * (g @ rule.weights)
+        per_panel[panels] = half[panels] * (rule.weights @ g)
     at_edges = np.append(np.cumsum(per_panel[::-1])[::-1], 0.0)
     at_nodes = []
     for rule, panels, x, g in parts:
-        h = half[panels, None]
+        h = half[panels]
         # the stored node is rounded; integrate from it, not from the exact
         # node mid + h*xi, which matters where the panel end is close to x:
         # g * ((end - x) - h*(1 - xi)), with h*(1 - xi) held in the array
-        # that then takes the interpolated part h * (g @ tail.T)
-        within = np.multiply(h, 1.0 - rule.nodes)
-        rounding = np.subtract(points[1:][panels, None], x)
+        # that then takes the interpolated part h * (tail @ g)
+        within = np.multiply.outer(1.0 - rule.nodes, h)
+        rounding = np.subtract(points[1:][panels], x)
         rounding -= within
         rounding *= g
-        np.matmul(g, rule.tail.T, out=within)
+        np.matmul(rule.tail, g, out=within)
         within *= h
         within += rounding
-        within += at_edges[1:][panels, None]
+        within += at_edges[1:][panels]
         at_nodes.append(within)
     return at_nodes, at_edges

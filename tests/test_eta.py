@@ -1,6 +1,7 @@
 import importlib
 import math
 import re
+import sys
 import warnings
 
 import mpmath
@@ -223,7 +224,8 @@ class TestNotFinite:
             eta(w, 0.01)
 
     @pytest.mark.parametrize("make,args", [
-        (make_sine_weight, (200, 2.0, 1.0)),
+        # sin(t)**-199 overflows next to a = 3.13, so every tail does
+        (make_sine_weight, (200, 2.0, 3.13)),
         (make_power_weight, (1.01, 1.0, 1.0)),
         (make_sine_weight, (3, 1.01, 1.5)),
         (make_sine_weight, (40, 1.05, 1.0)),
@@ -397,11 +399,43 @@ class TestTruncation:
         assert names == ["refine_breakpoints"] + ["_eta_at", "_integrate"] * golden
         assert len(events[0][1][0]) == BRACKET_GRID + 1
 
+    @pytest.mark.parametrize("p,delta,a", [(3.0, 50.0, 1.0), (2.0, 60.0, 1.0),
+                                           (4.0, 262.0, 1.0), (1.5, 20.0, 2.0)])
+    def test_steep_power_past_subnormal_grid_points(self, p, delta, a):
+        # phi = t**(p-1+delta) is subnormal (or 0) at the first bracket
+        # points a*1e-6...; the grid starts where it is normal.  eta is
+        # (e-1)/(t - t**e a**(1-e)), e = 1 + delta/(p-1), least at
+        # a e**(-1/(e-1)); the search is within 5e-9 of it
+        w = make_power_weight(p, delta, a)
+        e = 1.0 + delta / (p - 1.0)
+        assert abs(find_truncation_point(w).T - a * e ** (-1.0 / (e - 1.0))) < 1e-8
+
+    def test_steep_sine_past_subnormal_grid_points(self):
+        # sin(t)**199 is subnormal below t = 0.028, where 1/phi overflowed
+        # on the first bracket points; from there on eta is finite, and
+        # T is its minimiser, against mpmath
+        w = make_sine_weight(200, 2.0, 1.0)
+        prof = find_truncation_point(w)
+
+        def eta_mp(t):
+            t = mpmath.mpf(t)
+            return mpmath.sin(t)**-199 / mpmath.quad(lambda s: mpmath.sin(s)**-199, [t, 1])
+
+        with mpmath.workdps(30):
+            assert_allclose(prof.eta_at_T, float(eta_mp(prof.T)), rtol=1e-13)
+            assert eta_mp(prof.T - 1e-4) > eta_mp(prof.T) < eta_mp(prof.T + 1e-4)
+
+    def test_subnormal_on_the_whole_grid(self):
+        w = make_power_weight(2.0, 800.0, 1e-3)
+        with pytest.raises(NumericalError, match="subnormal on the whole bracket grid"):
+            find_truncation_point(w)
+
 
 def _golden_on_public_eta(w):
     """The golden-section search for T written on the public, checked
     ``eta``: the oracle for the bits of ``find_truncation_point``."""
     grid = w.a * np.geomspace(1e-6, 1.0 - 1e-6, BRACKET_GRID)
+    grid = grid[w.phi(grid) >= sys.float_info.min]
     i = int(np.argmin(eta_many(w, grid)))
     lo, hi = grid[i - 1], grid[i + 1]
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
@@ -423,6 +457,26 @@ def _golden_on_public_eta(w):
 def _search_bits(w):
     prof = find_truncation_point(w)
     return prof.T.hex(), prof.eta_at_T.hex()
+
+
+class TestGoldenPins:
+    """T, eta(T) and one tail integral, pinned in hex.  A change in the
+    order in which ``_integrate`` sums its nodes moves these bits, and
+    TestGoldenSameBits cannot see it: both of its searches go through
+    ``_integrate``."""
+
+    @pytest.mark.parametrize("make,args,T,eta_at_T", [
+        (make_sine_weight, (3, 2.0, HALF_PI), "0x1.921fb55f67c1dp-1", "0x1.0000000000000p+1"),
+        (make_power_weight, (2.0, 1.0, 1.0), "0x1.0000000fb5713p-1", "0x1.0000000000001p+2"),
+        (make_sine_weight, (6, 2.5, 3 * math.pi / 4), "0x1.58e26ae677c5dp+0",
+         "0x1.8415c0e0c7c9dp-1"),
+        (make_power_weight, (3.0, 2.0, 0.5), "0x1.0000000cb0c22p-2", "0x1.0000000000000p+3"),
+    ], ids=["sine-3-2", "power-2-1", "sine-6-2.5", "power-3-2"])
+    def test_truncation_point(self, make, args, T, eta_at_T):
+        assert _search_bits(make(*args)) == (T, eta_at_T)
+
+    def test_tail_integral(self, sine32):
+        assert tail_integral(sine32, 0.7).hex() == "0x1.2fef14a96d5dap+0"
 
 
 class TestGoldenSameBits:

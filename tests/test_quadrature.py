@@ -100,12 +100,19 @@ def test_zero_width_segment_legal():
 
 
 def test_panel_nodes_increasing():
+    # node-major: x[j, i] is node j of panel i, so panel by panel the nodes
+    # run along x.T, and they are the bits of mid + half * xi
     pts, _ = refine_breakpoints(np.array([1e-10, 0.5, 1.0]), singular=(0.0,))
-    x, w = panel_nodes(pts)
-    flat = x.ravel()
-    assert np.all(np.diff(flat) > 0.0)
-    assert np.all(w > 0.0)
-    assert_allclose(w.sum(), 1.0 - 1e-10, rtol=1e-14)
+    half, mid = 0.5 * (pts[1:] - pts[:-1]), 0.5 * (pts[:-1] + pts[1:])
+    for rule in (GL8, GL16):
+        x, w = panel_nodes(pts, rule)
+        assert x.shape == w.shape == (rule.nodes.size, len(pts) - 1)
+        assert np.all(np.diff(x.T.ravel()) > 0.0)
+        expected = [[(m + h * xi).hex() for m, h in zip(mid.tolist(), half.tolist())]
+                    for xi in rule.nodes.tolist()]
+        assert [[v.hex() for v in row] for row in x.tolist()] == expected
+        assert np.all(w > 0.0)
+        assert_allclose(w.sum(), 1.0 - 1e-10, rtol=1e-14)
 
 
 @pytest.mark.parametrize("degree", range(16))
@@ -230,17 +237,20 @@ def test_pinned_layouts_from_one_builder(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_eight_panels", builder)
     monkeypatch.setattr(hardy1d, "_eight_panels", builder)
+    # integrate sums panel-major nodes of its own: the bits of the
+    # panel_nodes nodes on those edges, transposed
+    seen = []
+    integrate(lambda x: seen.append(x) or np.ones_like(x), 0.25, 1.0, (0.0, math.pi))
+    (pts,) = built
+    assert (pts[0], pts[-1]) == (0.25, 1.0) and len(pts) > 8
+    assert np.array_equal(seen[0], panel_nodes(pts)[0].T)
     w = make_sine_weight(3, 2.0, math.pi / 2)
-    for module, call, ends in [
-        (quadrature, lambda: integrate(np.ones_like, 0.25, 1.0, (0.0, math.pi)), (0.25, 1.0)),
-        (hardy1d, lambda: hardy1d.A_k_B_k(w, 64), (1.0 / 64, w.a * (1.0 - ENDPOINT_GUARD))),
-    ]:
-        built.clear()
-        with mock.patch.object(module, "panel_nodes", wraps=module.panel_nodes) as spy:
-            call()
-        pts = spy.call_args_list[0][0][0]
-        assert pts is built[0]
-        assert (pts[0], pts[-1]) == ends and len(pts) > 8
+    built.clear()
+    with mock.patch.object(hardy1d, "panel_nodes", wraps=hardy1d.panel_nodes) as spy:
+        hardy1d.A_k_B_k(w, 64)
+    pts = spy.call_args_list[0][0][0]
+    assert pts is built[0]
+    assert (pts[0], pts[-1]) == (1.0 / 64, w.a * (1.0 - ENDPOINT_GUARD)) and len(pts) > 8
 
 
 @pytest.mark.parametrize("lo,hi,singular", [
@@ -294,7 +304,7 @@ def _segment_integrals_16(f, breakpoints, singular):
     """``segment_integrals`` with 16 Gauss points on the same panels."""
     pts, counts = refine_breakpoints(breakpoints, singular)
     x, w = panel_nodes(pts, GL16)
-    return np.add.reduceat(np.sum(f(x) * w, axis=1), np.cumsum(counts) - counts)
+    return np.add.reduceat(np.sum(f(x) * w, axis=0), np.cumsum(counts) - counts)
 
 
 def _assert_same_with_16_points(call, rtol):

@@ -1,12 +1,15 @@
-"""The Hardy quotient's in-place arithmetic against an out-of-place
-reference, and the arrays the quotient's layers must never write.
+"""The Hardy quotient's in-place, node-major arithmetic against an
+out-of-place, panel-major reference, and the arrays the quotient's layers
+must never write.
 
-``hardy_quotient`` runs its denominator chain in one scratch array and
-takes per-panel sums as ``values @ rule.weights``; ``_reference_quotient``
-below keeps the out-of-place arithmetic it replaced (a new array per numpy
+``hardy_quotient`` holds its nodes as (points, panels) arrays, runs its
+denominator chain in one scratch array and takes per-panel sums as
+``rule.weights @ values``; ``_reference_quotient`` below builds its own
+(panels, points) nodes, the same bits transposed, and keeps the
+out-of-place arithmetic the quotient replaced (a new array per numpy
 operation, one ``np.sum`` over node values times node weights) on the same
-panels and nodes.  The two sum in different orders, so they agree to
-rounding, not bit for bit.
+panels.  The two sum in different orders, so they agree to rounding, not
+bit for bit.
 """
 
 import math
@@ -29,8 +32,16 @@ from hardycap.weights import make_power_weight, make_sine_weight
 RTOL = 1e-13
 
 
+def _row_nodes(points, rule, panels):
+    """``panel_nodes`` panel-major: ``x[i, j]`` is node j of panel i."""
+    lo, hi = points[:-1][panels], points[1:][panels]
+    half = 0.5 * (hi - lo)
+    return 0.5 * (lo + hi)[:, None] + half[:, None] * rule.nodes, half[:, None] * rule.weights
+
+
 def _reference_node_tails(points, parts):
-    """``quadrature.node_tail_integrals`` with a new array per operation."""
+    """``quadrature.node_tail_integrals`` panel-major, with a new array per
+    operation."""
     half = 0.5 * np.diff(points)
     per_panel = np.empty(len(half))
     for rule, panels, _, g in parts:
@@ -48,7 +59,7 @@ def _reference_node_tails(points, parts):
 def _reference_quotient(w, prof, u, truncated):
     """``(numerator, denominator)`` of ``hardy_quotient`` on its own panels,
     each integrand a product of new arrays summed against the node weights
-    of ``panel_nodes``, and the point counts of the Gauss rules taken."""
+    of ``_row_nodes``, and the point counts of the Gauss rules taken."""
     nodes, values = u.nodes, u.values
     p = w.p
     pts = _quotient_edges(w, u, prof.T if truncated else None)
@@ -58,7 +69,7 @@ def _reference_quotient(w, prof, u, truncated):
                                    out=np.full(len(nodes) - 1, np.inf), where=slopes[1:] != 0.0)
     parts = []
     for rule, panels in panel_rules(pts, _singular(w), roots[cell - 1]):
-        x, wts = panel_nodes(pts, rule, panels)
+        x, wts = _row_nodes(pts, rule, panels)
         phi = w.phi(x)
         parts.append((rule, panels, x, wts, phi, phi ** (-1.0 / (p - 1.0))))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
