@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ParameterError
 from .hardy1d import GridFunction, QuotientReport
-from .quadrature import panel_nodes, refine_breakpoints
+from .quadrature import GL16, panel_nodes, refine_breakpoints
 from .sphere import (
     CapGeometry,
     SphericalProfile,
@@ -81,10 +81,10 @@ def _radial_moments(radial, p, *exponents):
     # the cells whose linear piece has a root in them: a sign change or one zero end
     i = np.flatnonzero((np.sign(v[:-1]) * np.sign(v[1:]) <= 0.0) & (v[:-1] != v[1:]))
     roots = np.unique(nodes[i] + (nodes[i + 1] - nodes[i]) * (v[i] / (v[i] - v[i + 1])))
-    r, w = panel_nodes(refine_breakpoints(nodes, roots.tolist())[0])
+    r, half = panel_nodes(refine_breakpoints(nodes, roots.tolist())[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        weighted = np.abs(radial(r)) ** p * w
-        moments = [float(np.sum(weighted * r**e)) for e in exponents]
+        weighted = np.abs(radial(r)) ** p
+        moments = [float(half @ (GL16.weights @ (weighted * r**e))) for e in exponents]
     for e, moment in zip(exponents, moments):
         if not 0.0 < moment < math.inf:
             raise NumericalError(f"the radial moment integral R**p r**{e} dr is {moment!r}")

@@ -106,27 +106,38 @@ def _sweep(w, pts, rules):
     with its Gauss rule from ``rules``: ``panel_rules`` for the quotient's
     one panel per cell, ``ALL_GL16`` for the pinned layout of ``A_k_B_k``.
 
-    Returns a ``(panels, x, rule, phi, inv_phi, tails)`` for each rule,
-    with the ``panel_nodes`` nodes of its panels, ``phi`` and
-    ``inv_phi = phi**(-1/(p-1))`` at the nodes and the tail integral I of
-    the latter at the nodes, each a node-major (points, panels) array; and
-    I at the panel edges.  The tails come from one sweep over the panels.
+    Returns a ``(panels, x, rule, phi, inv_phi, half, tails)`` for each
+    rule, with the ``panel_nodes`` nodes and half-widths of its panels,
+    ``phi`` and ``inv_phi = phi**(-1/(p-1))`` at the nodes and the tail
+    integral I of the latter at the nodes, each a node-major (points,
+    panels) array; and I at the panel edges.  The tails come from one
+    sweep over the panels.
     Every array is new and ``pts`` is only read: the caller may use
     ``tails`` as scratch, and reads the others.
     """
     parts = []
     for rule, panels in rules:
-        x = panel_nodes(pts, rule, panels)[0]  # its node weights go at once
+        x, half = panel_nodes(pts, rule, panels)
         phi = w.phi(x)
         inv_phi = phi ** (-1.0 / (w.p - 1.0))  # as w.inv_phi_pow(x)
-        parts.append((panels, x, rule, phi, inv_phi))
+        parts.append((panels, x, rule, phi, inv_phi, half))
     at_nodes, at_edges = node_tail_integrals(
-        pts, [(rule, panels, x, inv_phi) for panels, x, rule, _, inv_phi in parts])
+        pts, [(rule, panels, x, inv_phi) for panels, x, rule, _, inv_phi, _ in parts])
     beyond = tail_integral(w, pts[-1])
     for tails in at_nodes:
         tails += beyond
     at_edges += beyond
     return [(*part, tails) for part, tails in zip(parts, at_nodes)], at_edges
+
+
+def _linear_at(x, x0, u0, slope):
+    """A new array of ``(x - x0) * slope + u0`` at the node-major nodes
+    ``x``, each per-panel value a row: ``np.interp``'s arithmetic for a
+    node in the cell that starts at ``x0``, so its bits."""
+    g = np.subtract(x, x0)
+    g *= slope
+    g += u0
+    return g
 
 
 def _quotient_edges(w, u, T=None):
@@ -172,21 +183,27 @@ def hardy_quotient(w, prof, u, truncated=False):
     The numerator is exact per cell up to the phi quadrature (|u'| is
     constant on each cell); the denominator integrates |u|^p eta^p phi on
     one Gauss panel per cell, refined towards the singular points and
-    graded towards the roots of u.  A panel takes 8 points where it is at
-    most ``GL8_RATIO`` of its distance from the weight's singular points,
+    graded towards the roots of u.  A panel takes 4 points where it is at
+    most ``GL4_RATIO`` of its distance from the weight's singular points,
     from a and from the root of its linear piece of u, where |u|^p is
-    singular too, and 16 elsewhere (``quadrature.panel_rules``).  The
+    singular too, 8 where it is at most ``GL8_RATIO`` of it, and 16
+    elsewhere (``quadrature.panel_rules``).  On the extremal grids of a
+    sharpness pass about half the panels take 4 points.  The
     panels start at t0, or at min(t0, T) when truncated, where
     eta_aT = eta, and the constant head before them goes through the
     closed-form primitive I**(1-p)/(p-1) of eta^p phi.  prof may be None
     when not truncated, with the same result.
 
     The arrays of ``u`` are only read.  The nodes and the values at them
-    are node-major (points, panels) arrays.  The denominator's integrand
+    are node-major (points, panels) arrays.  A panel lies in one cell of
+    the grid, so u at its nodes is ``(x - nodes[c]) * slope + values[c]``
+    with the cell's own slope and left node c: the arithmetic of
+    ``np.interp`` (``GridFunction.__call__``), and its bits, without its
+    binary search per node.  The denominator's integrand
     (|u| eta)**p phi is built in one scratch array, the values of u at the
     nodes, and eta overwrites the tails from ``_sweep``; ``phi`` and
-    ``inv_phi`` are read by both integrals and never written.  Per-panel
-    sums are ``rule.weights @ values``, weighted by the half-widths.
+    ``inv_phi`` are read by both integrals and never written.  Sums over
+    the panels are ``half @ (rule.weights @ values)``.
     Raises ``NumericalError`` where the denominator overflows, and naming
     the first panel edge (or a, through ``tail_integral``) where phi is
     subnormal.
@@ -209,22 +226,26 @@ def hardy_quotient(w, prof, u, truncated=False):
     roots = nodes[:-1] - np.divide(values[:-1], slopes[1:],
                                    out=np.full(len(nodes) - 1, np.inf), where=slopes[1:] != 0.0)
     rules = panel_rules(pts, _singular(w), roots[cell - 1])
-    half = 0.5 * np.diff(pts)
     # phi**(-1/(p-1)) overflows next to 0 on steep weights: raised, not warned
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         parts, edge_tails = _sweep(w, pts, rules)
+        # u on a panel's cell, as np.interp takes it from the cell's left node
+        # c; left of the grid c = 0 and slopes[0] = 0 give the constant values[0]
+        # (made after the sweep, whose peak they would raise)
+        c = np.maximum(cell - 1, 0)
+        x0, u0, slope = nodes[c], values[c], slopes[cell]
         denominator = 0.0
-        for panels, x, rule, phi, inv_phi, tails in parts:
+        for panels, x, rule, phi, inv_phi, half, tails in parts:
             # (|u| eta)**p phi in one scratch array; tails turn into eta
             eta_vals = np.divide(inv_phi, tails, out=tails)
             if truncated:
                 np.copyto(eta_vals, prof.eta_at_T, where=x > prof.T)
-            g = u(x)
+            g = _linear_at(x, x0[panels], u0[panels], slope[panels])
             np.abs(g, out=g)
             g *= eta_vals
             g **= p
             g *= phi
-            denominator += float(half[panels] @ (rule.weights @ g))
+            denominator += float(half @ (rule.weights @ g))
         # head [0, pts[0]], pts[0] <= t0 (and <= T): u = u(t0) and eta_aT = eta there
         denominator += abs(values[0]) ** p * edge_tails[0] ** (1.0 - p) / (p - 1.0)
     if not np.isfinite(denominator):
@@ -235,8 +256,8 @@ def hardy_quotient(w, prof, u, truncated=False):
         raise DegenerateInputError("denominator vanished; degenerate input")
 
     # numerator: |u'| is constant per panel
-    numerator = sum(float((np.abs(slopes[cell[panels]]) ** p * half[panels]) @ (rule.weights @ phi))
-                    for panels, _, rule, phi, _, _ in parts)
+    numerator = sum(float((np.abs(slope[panels]) ** p * half) @ (rule.weights @ phi))
+                    for panels, _, rule, phi, _, half, _ in parts)
 
     return QuotientReport(
         numerator=numerator,
@@ -345,9 +366,9 @@ def A_k_B_k(w, k):
     pts = _eight_panels(s, guard_hi, _singular(w))
     # phi**(-1/(p-1)) overflows next to 0 on steep weights: raised, not warned
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ((_, _, rule, _, inv_phi, tails),), edge_tails = _sweep(w, pts, ALL_GL16)
+        ((_, _, rule, _, inv_phi, half, tails),), edge_tails = _sweep(w, pts, ALL_GL16)
         a_k = float((1.0 - (edge_tails[0] / tail_integral(w, guard_lo)) ** (p - 1.0)) / (p - 1.0))
-        b_k = float(0.5 * np.diff(pts) @ (rule.weights @ np.divide(inv_phi, tails, out=tails)))
+        b_k = float(half @ (rule.weights @ np.divide(inv_phi, tails, out=tails)))
     if not (np.isfinite(a_k) and np.isfinite(b_k)):
         raise NumericalError(
             f"A_k = {a_k!r} and B_k = {b_k!r} must be finite: eta_a overflows from t={s!r}")

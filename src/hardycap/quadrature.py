@@ -5,7 +5,8 @@ singular abscissae (t = 0 for power weights, t = 0 and t = pi for sine
 weights, t = a for the tail-integral reciprocal).  Splitting the range into
 panels whose width shrinks geometrically towards those points keeps a fixed
 Gauss rule at machine accuracy, and the whole computation stays vectorised
-in numpy.  The rules are ``GL16`` (16 points) and ``GL8`` (8 points).
+in numpy.  The rules are ``GL16`` (16 points), ``GL8`` (8 points) and
+``GL4`` (4 points).
 
 ``refine_breakpoints`` lays out one panel per segment, split further only
 towards the singular points.  The edges of a segment are the same bits
@@ -13,12 +14,18 @@ whether it is refined alone or with any number of others, given the same
 scale (the width floor and the stopping slack grow with the outermost
 breakpoints).  ``segment_integrals`` and the Hardy quotient take this
 layout, the quotient's segments being its grid cells, whose integrands
-are smooth.  A panel there takes 8 points where it is at most
-``GL8_RATIO`` of its distance from every singular point, and 16 elsewhere
-or where fewer than ``GL8_MIN`` panels would take 8 (``panel_rules``): the
-cells of the extremal grids are about 1% of that distance, and on them 8
-points agree with 16 to rounding.  The half-space radial moment takes 16
-points on every panel, refined towards the roots of its radial factor.
+are smooth.  A panel there takes 4 points where it is at most
+``GL4_RATIO`` of its distance from every singular point, 8 where it is at
+most ``GL8_RATIO`` of it, and 16 elsewhere; a tier with fewer than
+``GL8_MIN`` panels takes the next wider rule, and a layout with fewer than
+``GL8_MIN`` panels of at most ``GL8_RATIO`` takes 16 on all
+(``panel_rules``).  At a width of ``r`` times that distance the rule's
+error falls like ``(2 / r)**(-2 * points)``, so on those panels 4 and 8
+points agree with 16 to rounding.  On a sharpness pass of the benchmark
+(seed 7) the quotients' 30,512 panels take 4, 8 and 16 points on 51%,
+45% and 5% of them, the tail integrals' 28,695 panels on 68%, 24% and 7%.
+The half-space radial moment takes 16 points on every panel, refined
+towards the roots of its radial factor.
 
 ``_eight_panels`` builds the one layout pinned bit for bit, at least eight
 16-point panels on one segment, for ``_integrate`` (behind ``integrate``,
@@ -30,8 +37,8 @@ B_k node-rounding artefact that perfbench/reference.json pins to 1e-9).
 Nodes are node-major: ``panel_nodes`` returns (points, panels) arrays,
 ``x[j, i]`` node j of panel i, so that a per-panel value (half-width,
 midpoint, panel end, the tail from the panel's end) broadcasts as a row:
-a (panels, 1) column against (panels, points) runs an inner loop of 8 or
-16 with iterator buffers, several times slower than a same-shape
+a (panels, 1) column against (panels, points) runs an inner loop of 4, 8
+or 16 with iterator buffers, several times slower than a same-shape
 operation on a quotient's 3,700 panels.  ``_integrate`` alone
 builds its few nodes panel-major, (panels, 16), and sums
 ``(f(x) * w).sum()`` in that memory order: the golden-section T read from
@@ -40,12 +47,13 @@ it is pinned bit for bit, and a node-major sum adds in another order.
 Arrays passed in (breakpoints, nodes, integrand values) are only read.
 The one-panel-per-segment sweeps otherwise work in place on arrays they
 made: ``panel_nodes`` adds the midpoints to ``xi * half`` in place (the
-bits of ``mid + half * xi``), ``segment_integrals`` and
-``node_tail_integrals`` take per-panel sums as ``rule.weights @ values``
-times the half-widths, and ``node_tail_integrals`` returns new arrays that
-its caller may overwrite.  A quotient's arrays hold about 30,000 nodes,
-and each new one is about 240 KB of fresh pages that the kernel
-zero-fills on first touch.
+bits of ``mid + half * xi``) and returns the half-widths, not an array of
+node weights; ``segment_integrals`` and ``node_tail_integrals`` take
+per-panel sums as ``rule.weights @ values`` times the half-widths, and
+``node_tail_integrals`` returns new arrays that its caller may overwrite.
+A quotient's arrays hold about 20,000 to 30,000 nodes (22,652 on a
+truncated V_4096 of sine (3, 2, pi/2)), and each new one is about 180 to
+240 KB of fresh pages that the kernel zero-fills on first touch.
 """
 
 from __future__ import annotations
@@ -90,6 +98,8 @@ def _gauss_rule(size):
 GL16 = _gauss_rule(16)
 #: the rule of the narrow panels of the one-panel-per-segment layouts
 GL8 = _gauss_rule(8)
+#: the rule of their narrowest panels
+GL4 = _gauss_rule(4)
 #: the 16-point rule on every panel, as ``panel_rules`` pairs
 ALL_GL16 = [(GL16, slice(None))]
 
@@ -98,9 +108,12 @@ PANEL_RATIO = 0.2
 #: the widest panel, relative to its distance from the nearest singular
 #: point, that takes the 8-point rule in a one-panel-per-segment layout
 GL8_RATIO = 0.02
-#: fewest narrow panels that take the 8-point rule: on the few hundred
-#: panels of a hat quotient or of find_truncation_point's bracket grid,
-#: choosing the rules and a second set of nodes cost about what 8 points save
+#: the widest panel, relative to that distance, that takes the 4-point rule
+GL4_RATIO = 1e-3
+#: fewest narrow panels that take the 8-point rule, and fewest narrowest
+#: ones that take the 4-point rule: on the few hundred panels of a hat
+#: quotient or of find_truncation_point's bracket grid, choosing the rules
+#: and a second set of nodes cost about what fewer points save
 GL8_MIN = 512
 #: narrowest panel, relative to the outermost breakpoint (or 1, if larger)
 WIDTH_FLOOR = 1e-15
@@ -237,16 +250,21 @@ def check_resolved(lo, hi, singular):
 
 def panel_rules(points, singular, roots=None):
     """The Gauss rule of each panel of a one-panel-per-segment layout, as
-    ``(rule, panels)`` pairs: ``GL8`` on the panels at most ``GL8_RATIO``
-    of their distance from every singular point and from their own entry
-    of ``roots`` (one more singular point per panel, if given), if there
-    are at least ``GL8_MIN`` of them, and ``GL16`` on the others.
+    ``(rule, panels)`` pairs, by the panel's width relative to its distance
+    from every singular point and from its own entry of ``roots`` (one
+    more singular point per panel, if given): ``GL4`` at most
+    ``GL4_RATIO``, ``GL8`` at most ``GL8_RATIO`` and ``GL16`` on the
+    others.  A tier takes its rule only where at least ``GL8_MIN`` panels
+    qualify for it, or for a narrower one; its panels fall back to the
+    next wider rule otherwise.  A rule that no panel takes is left out.
 
     Panels are refined to ``PANEL_RATIO`` of that distance, and on such a
     panel 8 points lose far more than 16 where the integrand is steep:
     tail sums of ``t**-51`` are off by 6e-8 against 6e-15, and a quotient
     with p = 32 peaked on cells whose linear pieces vanish close by is off
-    by 5.1e-4 (``tests/test_quadrature.py``).
+    by 5.1e-4 (``tests/test_quadrature.py``).  At ``GL4_RATIO`` the
+    rule's error falls like ``(2 / GL4_RATIO)**(-2 * points)``, so 4
+    points are exact to rounding there.
     """
     if len(points) <= GL8_MIN:
         return ALL_GL16
@@ -254,19 +272,31 @@ def panel_rules(points, singular, roots=None):
     distance = math.inf if roots is None else np.maximum(lo - roots, roots - hi)
     for s in singular:
         distance = np.minimum(distance, np.maximum(lo - s, s - hi))
-    narrow = hi - lo <= GL8_RATIO * distance
-    count = np.count_nonzero(narrow)
-    if count == len(narrow):
-        return [(GL8, slice(None))]
-    if count < GL8_MIN:
+    width = hi - lo
+    narrow = width <= GL8_RATIO * distance
+    if np.count_nonzero(narrow) < GL8_MIN:
         return ALL_GL16
-    return [(GL8, narrow), (GL16, ~narrow)]
+    narrowest = width <= GL4_RATIO * distance
+    if np.count_nonzero(narrowest) >= GL8_MIN:
+        tiers = [(GL4, narrowest), (GL8, narrow & ~narrowest), (GL16, ~narrow)]
+    else:
+        tiers = [(GL8, narrow), (GL16, ~narrow)]
+    rules = []
+    for rule, panels in tiers:
+        count = np.count_nonzero(panels)
+        if count == len(panels):
+            return [(rule, slice(None))]
+        if count:
+            rules.append((rule, panels))
+    return rules
 
 
 def panel_nodes(points, rule=GL16, panels=None):
-    """Gauss-Legendre nodes and weights of ``rule`` on the ``panels`` (all,
-    by default) of consecutive panels, node-major: ``x[j, i]`` is node j
-    of panel i, ``mid + half * xi``.
+    """Gauss-Legendre nodes of ``rule`` on the ``panels`` (all, by
+    default) of consecutive panels, node-major, and the panels'
+    half-widths: ``x[j, i]`` is node j of panel i, ``mid + half * xi``,
+    and ``half[i] * rule.weights`` are its node weights, so that a sum
+    over the panels is ``half @ (rule.weights @ g)``.
 
     ``points`` is a sorted 1-D array of panel edges; ``x.T.ravel()`` is
     globally increasing.
@@ -277,7 +307,7 @@ def panel_nodes(points, rule=GL16, panels=None):
     half = 0.5 * (hi - lo)
     x = np.multiply.outer(rule.nodes, half)
     x += 0.5 * (lo + hi)  # the bits of mid + half * xi, in place
-    return x, np.multiply.outer(rule.weights, half)
+    return x, half
 
 
 def integrate(f, lo, hi, singular):
@@ -307,11 +337,10 @@ def segment_integrals(f, breakpoints, singular):
     one panel per segment, split further towards ``singular``, each with
     its rule from ``panel_rules``."""
     pts, counts = refine_breakpoints(breakpoints, singular)
-    half = 0.5 * np.diff(pts)
-    per_panel = np.empty(len(half))
+    per_panel = np.empty(len(pts) - 1)
     for rule, panels in panel_rules(pts, singular):
-        x = panel_nodes(pts, rule, panels)[0]  # its node weights go at once
-        per_panel[panels] = half[panels] * (rule.weights @ f(x))
+        x, half = panel_nodes(pts, rule, panels)
+        per_panel[panels] = half * (rule.weights @ f(x))
     starts = np.cumsum(counts) - counts
     return np.add.reduceat(per_panel, starts)
 

@@ -230,12 +230,15 @@ class CapStepProfile:
     boundaries: np.ndarray  # length J+1, starts at 0
     levels: np.ndarray  # length J, non-increasing
 
+    @functools.cached_property
     def cell_measures(self):
-        vols = cap_volume(self.geometry.n, self.boundaries)
-        return np.diff(vols)
+        """Volumes of the annuli, computed once per profile and read-only."""
+        measures = np.diff(cap_volume(self.geometry.n, self.boundaries))
+        measures.flags.writeable = False
+        return measures
 
     def moment(self, q):
-        return _power_sum("moment", self.cell_measures(), self.levels, _order(q))
+        return _power_sum("moment", self.cell_measures, self.levels, _order(q))
 
 
 def _check_measure(s, geom):

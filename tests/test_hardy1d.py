@@ -67,6 +67,52 @@ class TestGridFunction:
         assert u(1.0) == 0.0
 
 
+def _value_grids(w, prof):
+    """Grid functions, each with the truncated flag of its quotient, whose
+    panels cover every way the quotient finds a node's cell."""
+    a = w.a
+    smooth = lambda t: (a - t) * (1.0 + t)
+    past_t = np.linspace(0.5 * (prof.T + a), a, 3000)
+    below_guard = np.append(np.geomspace(1e-16, 1e-13, 4) * a, np.linspace(0.1, a, 3000))
+    return {
+        "V_4096": (extremal_V_k(w, prof, 4096), True),
+        "U_16": (extremal_U_k(w, 16), False),
+        "hat": (GridFunction([0.0, 0.5 * a, a], [0.0, 1.0, 0.0]), False),  # the CLI's
+        # the panels from T to the first node lie in cell 0, left of the grid
+        "T-before-first-node": (GridFunction(past_t, smooth(past_t)), True),
+        "nodes-below-guard": (GridFunction(below_guard, smooth(below_guard)), False),
+    }
+
+
+class TestValuesAtNodes:
+    """u at the quotient's nodes comes from each panel's own cell
+    (``hardy1d._linear_at``), with the arithmetic, and so the bits, of
+    ``GridFunction.__call__`` (``np.interp``), on every Gauss rule."""
+
+    @pytest.mark.parametrize("grid", ["V_4096", "U_16", "hat", "T-before-first-node",
+                                      "nodes-below-guard"])
+    def test_same_bits_as_interp(self, sine32, grid, monkeypatch):
+        w, prof = sine32
+        u, truncated = _value_grids(w, prof)[grid]
+        seen, real = [], hardy1d._linear_at
+
+        def recording(x, *args):
+            g = real(x, *args)
+            seen.append((x.copy(), g.copy()))  # the quotient overwrites g
+            return g
+
+        monkeypatch.setattr(hardy1d, "_linear_at", recording)
+        hardy_quotient(w, prof, u, truncated)
+        rules = {x.shape[0] for x, _ in seen}
+        assert rules == ({16} if grid == "hat" else {4, 8, 16})
+        for x, g in seen:
+            assert np.array_equal(g.view(np.uint64), u(x).view(np.uint64))
+        if grid == "T-before-first-node":
+            assert any(np.any(x < u.nodes[0]) for x, _ in seen)
+        if grid == "nodes-below-guard":
+            assert u.nodes[3] < ENDPOINT_GUARD * w.a < u.nodes[4]
+
+
 class TestHatOracle:
     def test_quotient_matches_scipy(self, power211):
         w, prof = power211
@@ -482,7 +528,7 @@ class TestNodeTails:
         pts = _quotient_edges(w, extremal_V_k(w, prof, 4096), prof.T)
         parts, edge_tails = _sweep(w, pts, panel_rules(pts, _singular(w)))
         x = np.concatenate([part[1].ravel() for part in parts])
-        tails = np.concatenate([part[5].ravel() for part in parts])
+        tails = np.concatenate([part[-1].ravel() for part in parts])
         assert np.any(w.a - x < 1e-11 * w.a)  # nodes right next to a are covered
         assert_allclose(tails, closed(x, w.a), rtol=1e-12)
         assert_allclose(edge_tails, closed(pts, w.a), rtol=1e-12)

@@ -16,6 +16,7 @@ from hardycap.errors import DomainError, HardyError, NumericalError
 from hardycap.eta import ENDPOINT_GUARD, find_truncation_point, tail_integrals
 from hardycap.quadrature import (
     ALL_GL16,
+    GL4,
     GL8,
     GL16,
     LOCKSTEP_MIN,
@@ -101,16 +102,19 @@ def test_zero_width_segment_legal():
 
 def test_panel_nodes_increasing():
     # node-major: x[j, i] is node j of panel i, so panel by panel the nodes
-    # run along x.T, and they are the bits of mid + half * xi
+    # run along x.T, and they are the bits of mid + half * xi; the node
+    # weights are half[i] * rule.weights
     pts, _ = refine_breakpoints(np.array([1e-10, 0.5, 1.0]), singular=(0.0,))
     half, mid = 0.5 * (pts[1:] - pts[:-1]), 0.5 * (pts[:-1] + pts[1:])
-    for rule in (GL8, GL16):
-        x, w = panel_nodes(pts, rule)
-        assert x.shape == w.shape == (rule.nodes.size, len(pts) - 1)
+    for rule in (GL4, GL8, GL16):
+        x, widths = panel_nodes(pts, rule)
+        assert x.shape == (rule.nodes.size, len(pts) - 1)
         assert np.all(np.diff(x.T.ravel()) > 0.0)
         expected = [[(m + h * xi).hex() for m, h in zip(mid.tolist(), half.tolist())]
                     for xi in rule.nodes.tolist()]
         assert [[v.hex() for v in row] for row in x.tolist()] == expected
+        assert np.array_equal(widths, half)
+        w = np.multiply.outer(rule.weights, widths)
         assert np.all(w > 0.0)
         assert_allclose(w.sum(), 1.0 - 1e-10, rtol=1e-14)
 
@@ -127,6 +131,13 @@ def test_tail_matrix8_exact_on_polynomials(degree):
     # GL8.tail @ xi**m integrates xi**m from each node to 1
     exact = (1.0 - GL8.nodes ** (degree + 1)) / (degree + 1)
     assert_allclose(GL8.tail @ GL8.nodes**degree, exact, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("degree", range(4))
+def test_tail_matrix4_exact_on_polynomials(degree):
+    # GL4.tail @ xi**m integrates xi**m from each node to 1
+    exact = (1.0 - GL4.nodes ** (degree + 1)) / (degree + 1)
+    assert_allclose(GL4.tail @ GL4.nodes**degree, exact, rtol=0, atol=1e-14)
 
 
 def test_node_tail_integrals_vs_closed_form():
@@ -303,8 +314,8 @@ def test_march_same_as_builtin_loop(cur, length, share, floor, slack, singular):
 def _segment_integrals_16(f, breakpoints, singular):
     """``segment_integrals`` with 16 Gauss points on the same panels."""
     pts, counts = refine_breakpoints(breakpoints, singular)
-    x, w = panel_nodes(pts, GL16)
-    return np.add.reduceat(np.sum(f(x) * w, axis=0), np.cumsum(counts) - counts)
+    x, half = panel_nodes(pts, GL16)
+    return np.add.reduceat(half * (GL16.weights @ f(x)), np.cumsum(counts) - counts)
 
 
 def _assert_same_with_16_points(call, rtol):
@@ -347,9 +358,9 @@ def _weights(draw):
 @example(make_power_weight(4.0, 102.0, 1.0), 0)  # phi(1e-3) = 1e-315
 @settings(max_examples=40, deadline=None)
 def test_eight_points_agree_with_sixteen(w, seed):
-    # the one-panel-per-segment layouts take 8 Gauss points on their narrow
-    # panels, which is the 16-point rule to rounding.  Next to pi both lose
-    # up to ulp(pi)/(pi - a) to the rounding of their nodes (the
+    # the one-panel-per-segment layouts take 4 or 8 Gauss points on their
+    # narrow panels, which is the 16-point rule to rounding.  Next to pi
+    # both lose up to ulp(pi)/(pi - a) to the rounding of their nodes (the
     # tail_integral docstring), each at its own nodes: at a = pi - 1e-6,
     # 2.4e-11 against cot t - cot a, and 5.9e-13 apart
     rtol = 1e-13 + (math.ulp(math.pi) / (math.pi - w.a) if w.kind == SINE else 0.0)
@@ -385,6 +396,28 @@ def test_eight_points_agree_with_sixteen(w, seed):
     for u, truncated, tol in grids:
         _assert_same_with_16_points(
             lambda: _parts(hardy1d.hardy_quotient(w, prof, u, truncated)), tol)
+
+
+def test_four_points_agree_with_sixteen_on_a_steep_weight():
+    # growth e = 100 and u = 1 + t on a grid graded like 1.0005**j: 575 of
+    # the quotient's panels are at most GL4_RATIO of their distance from 0,
+    # a and the roots of u, and take 4 points
+    w = make_power_weight(1.5, 50.0, 1.0)
+    nodes = 0.5 * (1.0 + 5e-4) ** np.arange(941)
+    assert nodes[-1] <= 0.8 < nodes[-1] * (1.0 + 5e-4)
+    u = hardy1d.GridFunction(np.append(nodes, w.a), np.append(1.0 + nodes, 0.0))
+    taken, real = {}, hardy1d.panel_rules
+
+    def recording(points, *args):
+        rules = real(points, *args)
+        taken.update((rule.nodes.size, np.ones(len(points) - 1, bool)[panels].sum())
+                     for rule, panels in rules)
+        return rules
+
+    with mock.patch.object(hardy1d, "panel_rules", recording):
+        hardy1d.hardy_quotient(w, None, u)
+    assert taken[4] == 575
+    _assert_same_with_16_points(lambda: _parts(hardy1d.hardy_quotient(w, None, u)), 1e-13)
 
 
 def test_steep_linear_piece_takes_16_points():

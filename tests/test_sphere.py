@@ -465,6 +465,26 @@ class TestRearrangements:
         assert_allclose((lhs, rhs), (3.5 * math.pi**2, 4.0 * math.pi**2), rtol=1e-12)
 
 
+    def test_cell_measures_computed_once(self, hemi, monkeypatch):
+        # rearrange-demo takes the moments of orders 1, 2 and 3 of one profile
+        rng = np.random.default_rng(9)
+        star = spherical_rearrangement(_random_sample_set(rng, hemi), hemi)
+        cells = np.diff(cap_volume(3, star.boundaries))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return cap_volume(*args)
+
+        monkeypatch.setattr(sphere, "cap_volume", counted)
+        moments = [star.moment(q) for q in (1, 2, 3)]
+        assert len(calls) == 1
+        assert [m.hex() for m in moments] == [float(np.sum(star.levels**q * cells)).hex()
+                                              for q in (1, 2, 3)]
+        with pytest.raises(ValueError, match="read-only"):
+            star.cell_measures[0] = 0.0
+
+
 class TestHardyLittlewood:
     def test_self_pairing_equality(self, hemi):
         rng = np.random.default_rng(8)
