@@ -101,9 +101,9 @@ def _cmd_validate_weight(args):
     w = _build_weight(args)
     rep = validate_weight(w)
     header = ["boundary_ok", "positive_ok", "log_concave_ok", "growth_ok",
-              "c1", "c2", "grid_size", "all_ok"]
+              "c1", "c2", "all_ok"]
     rows = [[rep.boundary_ok, rep.positive_ok, rep.log_concave_ok, rep.growth_ok,
-             rep.c1, rep.c2, rep.grid_size, rep.all_ok]]
+             rep.c1, rep.c2, rep.all_ok]]
     _emit(args, _meta(args), header, rows)
 
 

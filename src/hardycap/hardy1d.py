@@ -111,7 +111,8 @@ def _sweep(w, pts, rules):
     ``phi`` and ``inv_phi = phi**(-1/(p-1))`` at the nodes and the tail
     integral I of the latter at the nodes, each a node-major (points,
     panels) array; and I at the panel edges.  The tails come from one
-    sweep over the panels.
+    sweep over the panels: ``node_tail_integrals`` on these nodes and
+    half-widths.
     Every array is new and ``pts`` is only read: the caller may use
     ``tails`` as scratch, and reads the others.
     """
@@ -122,7 +123,7 @@ def _sweep(w, pts, rules):
         inv_phi = phi ** (-1.0 / (w.p - 1.0))  # as w.inv_phi_pow(x)
         parts.append((panels, x, rule, phi, inv_phi, half))
     at_nodes, at_edges = node_tail_integrals(
-        pts, [(rule, panels, x, inv_phi) for panels, x, rule, _, inv_phi, _ in parts])
+        pts, [(rule, panels, x, half, inv_phi) for panels, x, rule, _, inv_phi, half in parts])
     beyond = tail_integral(w, pts[-1])
     for tails in at_nodes:
         tails += beyond
@@ -246,8 +247,9 @@ def hardy_quotient(w, prof, u, truncated=False):
             g **= p
             g *= phi
             denominator += float(half @ (rule.weights @ g))
-        # head [0, pts[0]], pts[0] <= t0 (and <= T): u = u(t0) and eta_aT = eta there
-        denominator += abs(values[0]) ** p * edge_tails[0] ** (1.0 - p) / (p - 1.0)
+        # head [0, pts[0]], pts[0] <= t0 (and <= T): u = u(t0) and eta_aT = eta
+        # there; numpy scalars, which overflow to inf where floats would raise
+        denominator += float(abs(values[0]) ** p * edge_tails[0] ** (1.0 - p) / (p - 1.0))
     if not np.isfinite(denominator):
         raise NumericalError(
             f"the denominator is not finite: eta_a overflows from t={float(pts[0])!r}")

